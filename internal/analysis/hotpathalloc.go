@@ -129,6 +129,9 @@ var hotAllowSyms = map[string]bool{
 	"container/list.List.MoveToFront": true,
 	"time.Timer.Stop":                 true,
 	"time.Timer.Reset":                true,
+	// The flush leader's one yield (rpc.connWriter.flush): a scheduler
+	// hand-off, no allocation.
+	"runtime.Gosched": true,
 }
 
 func runHotPathAlloc(pass *Pass) {

@@ -44,9 +44,11 @@ func (e *PartialError) Unwrap() error { return ErrPartial }
 // fraction of primary traffic so a broad outage cannot amplify itself.
 var ErrRetryBudget = errors.New("client: retry budget exhausted")
 
-// batchTarget is one coalesced RPC destination.
+// batchTarget is one RPC destination: an instance and the pooled client
+// that reaches it, both taken from one routing snapshot.
 type batchTarget struct {
 	region, addr string
+	conn         *rpc.Client
 }
 
 // batchMethod picks the batch read method: shared-structure v2 by
@@ -84,43 +86,30 @@ func (c *Client) groupCall(ctx context.Context, tgt batchTarget, alt *batchTarge
 	if c.Breaker != nil && !c.Breaker.Allow(tgt.addr) {
 		return groupOutcome{err: ErrBreakerOpen}
 	}
-	issue := func(t batchTarget, k attemptKind, ch chan<- attemptResult) {
+	r := race{c: c, ctx: ctx, method: c.batchMethod(), payload: payload}
+	issue := func(t batchTarget, k attemptKind) error {
 		if hook := c.OnBatchCall; hook != nil {
 			hook(t.region, t.addr, subQueries)
 		}
 		c.BatchRPCs.Inc()
-		c.launch(ctx, t, c.batchMethod(), payload, k, ch)
+		return r.start(t, k)
 	}
-	resCh := make(chan attemptResult, 2)
-	issue(tgt, kind, resCh)
 	attempted := []string{tgt.addr}
-
-	var hedgeTimer *time.Timer
-	var hedgeCh <-chan time.Time
-	if hd := c.hedgeDelay(); hd >= 0 && alt != nil {
-		hedgeTimer = time.NewTimer(hd)
-		hedgeCh = hedgeTimer.C
-		defer hedgeTimer.Stop()
+	if err := issue(tgt, kind); err != nil {
+		return groupOutcome{err: err, attempted: attempted}
 	}
-	inflight := 1
-	var lastErr error
+	var hedgeT *time.Timer
+	var hedgeCh <-chan time.Time
+	if alt != nil {
+		if hd := c.hedgeDelay(); hd >= 0 {
+			hedgeT = getTimer(hd)
+			hedgeCh = hedgeT.C
+		}
+	}
+	var out groupOutcome
 	for {
-		select {
-		case r := <-resCh:
-			inflight--
-			if r.err == nil {
-				if r.hedged {
-					c.HedgeWins.Inc()
-				}
-				return groupOutcome{raw: r.raw, attempted: attempted}
-			}
-			lastErr = r.err
-			if inflight == 0 {
-				// Primary failed before any hedge fired: don't wait for
-				// the timer, the failover rounds own retries.
-				return groupOutcome{err: lastErr, attempted: attempted}
-			}
-		case <-hedgeCh:
+		slot := r.wait(hedgeCh, nil)
+		if slot == firedFirst {
 			hedgeCh = nil
 			if !c.hedgeAcquire() {
 				continue
@@ -129,11 +118,29 @@ func (c *Client) groupCall(ctx context.Context, tgt batchTarget, alt *batchTarge
 				c.hedgeInFlight.Add(-1)
 				continue
 			}
-			issue(*alt, attemptHedge, resCh)
 			attempted = append(attempted, alt.addr)
-			inflight++
+			// A hedge that cannot even start leaves the primary racing alone.
+			_ = issue(*alt, attemptHedge)
+			continue
+		}
+		k, raw, err := r.finish(slot, nil)
+		if err == nil {
+			if k == attemptHedge {
+				c.HedgeWins.Inc()
+			}
+			out = groupOutcome{raw: raw, attempted: attempted}
+			break
+		}
+		if r.inflight == 0 {
+			// Primary failed before any hedge fired (or both failed): don't
+			// wait for the timer, the failover rounds own retries.
+			out = groupOutcome{err: err, attempted: attempted}
+			break
 		}
 	}
+	putTimer(hedgeT)
+	r.abandon()
+	return out
 }
 
 // QueryBatch executes N sub-queries (any mix of topK / filter / decay) and
@@ -187,7 +194,7 @@ func (c *Client) QueryBatchCtx(ctx context.Context, subs []wire.SubQuery) ([]*wi
 	}
 
 	for round := 0; len(pending) > 0; round++ {
-		regions := c.regionsSnapshot()
+		rt := c.routes.Load()
 		// Coalesce: assign each pending sub-query its next untried
 		// candidate and group by (region, shard) in first-seen order.
 		psp := trace.StartLeaf(ctx, trace.StageClientPick)
@@ -195,7 +202,7 @@ func (c *Client) QueryBatchCtx(ctx context.Context, subs []wire.SubQuery) ([]*wi
 		var order []batchTarget
 		var next []int
 		for _, i := range pending {
-			tgt, ok := c.nextCandidate(regions, subs[i].Query.ProfileID, tried[i])
+			tgt, ok := c.nextCandidate(rt, subs[i].Query.ProfileID, tried[i])
 			if !ok {
 				if subErrs[i] == nil {
 					subErrs[i] = ErrNoInstances
@@ -258,7 +265,7 @@ func (c *Client) QueryBatchCtx(ctx context.Context, subs []wire.SubQuery) ([]*wi
 				for j, i := range idxs {
 					req.Subs[j] = subs[i]
 				}
-				alt := c.altCandidate(regions, subs[idxs[0]].Query.ProfileID, tried[idxs[0]], tgt.addr)
+				alt := c.altCandidate(rt, subs[idxs[0]].Query.ProfileID, tried[idxs[0]], tgt.addr)
 				out := c.groupCall(ctx, tgt, alt, wire.EncodeQueryBatch(req), len(idxs), kind)
 				if out.err != nil {
 					outs[gi] = rpcOut{err: out.err, attempted: out.attempted}
@@ -336,20 +343,22 @@ func (c *Client) QueryBatchCtx(ctx context.Context, subs []wire.SubQuery) ([]*wi
 // is not ready are held back and returned only when every ready candidate
 // has been exhausted, so one broken shard owner costs a ring hop instead
 // of a timeout.
-func (c *Client) nextCandidate(regions []string, id model.ProfileID, tried map[string]bool) (batchTarget, bool) {
+func (c *Client) nextCandidate(rt *routes, id model.ProfileID, tried map[string]bool) (batchTarget, bool) {
 	var blocked *batchTarget
-	for _, region := range regions {
-		for _, addr := range c.routeN(region, id, c.opts.Retries) {
+	var addrs [ladderLen]string
+	for _, rs := range rt.regions {
+		for _, addr := range rs.ring.AppendN(addrs[:0], id, c.opts.Retries) {
 			if tried[addr] {
 				continue
 			}
+			t := rs.target(addr)
 			if c.Breaker != nil && !c.Breaker.Ready(addr) {
 				if blocked == nil {
-					blocked = &batchTarget{region: region, addr: addr}
+					blocked = &t
 				}
 				continue
 			}
-			return batchTarget{region: region, addr: addr}, true
+			return t, true
 		}
 	}
 	if blocked != nil {
@@ -361,13 +370,13 @@ func (c *Client) nextCandidate(regions []string, id model.ProfileID, tried map[s
 // altCandidate picks the hedge target for a group: the next untried
 // candidate for the group's representative sub-query, excluding the
 // primary address itself.
-func (c *Client) altCandidate(regions []string, id model.ProfileID, tried map[string]bool, primary string) *batchTarget {
+func (c *Client) altCandidate(rt *routes, id model.ProfileID, tried map[string]bool, primary string) *batchTarget {
 	merged := make(map[string]bool, len(tried)+1)
 	for k, v := range tried {
 		merged[k] = v
 	}
 	merged[primary] = true
-	if alt, ok := c.nextCandidate(regions, id, merged); ok {
+	if alt, ok := c.nextCandidate(rt, id, merged); ok {
 		return &alt
 	}
 	return nil

@@ -46,6 +46,10 @@ import (
 // ErrNoInstances reports an empty (or fully failed) target set.
 var ErrNoInstances = errors.New("client: no live IPS instances")
 
+// errNotRouted reports an instance the current routing snapshot no longer
+// lists.
+var errNotRouted = errors.New("client: instance is not in the routing snapshot")
+
 // DefaultRefreshInterval is the discovery poll cadence used when
 // Options.RefreshInterval is zero. Exported because the resharding
 // coordinator's settle barrier must outwait the slowest client's refresh
@@ -121,8 +125,11 @@ type Options struct {
 type Client struct {
 	opts Options
 
-	mu      sync.RWMutex
-	regions map[string]*regionState // region -> ring + conns
+	// routes is the routing snapshot every request reads: one atomic load,
+	// no lock. mu serializes the writers that replace it (discovery
+	// refresh, Close).
+	routes  atomic.Pointer[routes]
+	mu      sync.Mutex
 	watcher *discovery.Watcher
 	closed  bool
 
@@ -187,13 +194,38 @@ type Client struct {
 
 	// Departed-instance connections are retired on a grace timer instead of
 	// closed inline (closing kills that conn's in-flight calls). closing
-	// aborts the timers at Close; closeWG keeps the retire goroutines
-	// inside the goroutine-leak gate.
+	// aborts the timers at Close; closeWG keeps the retire goroutines — and
+	// the reapers of decided races (ladder.go) — inside the goroutine-leak
+	// gate.
 	closing chan struct{}
 	closeWG sync.WaitGroup
 }
 
+// routes is one immutable routing snapshot: nothing reachable from it is
+// mutated after it is published, so a request loads it once and routes
+// every attempt — region order, both rings, connections — from that one
+// consistent view.
+type routes struct {
+	// regions lists the known regions, the client's local region first and
+	// the rest in name order: the order reads fail over and writes fan out.
+	regions []*regionState
+}
+
+// region returns the state of the named region, nil if unknown. Regions
+// are few; a scan beats a map.
+//
+//ips:hotpath
+func (rt *routes) region(name string) *regionState {
+	for _, rs := range rt.regions {
+		if rs.name == name {
+			return rs
+		}
+	}
+	return nil
+}
+
 type regionState struct {
+	name string
 	// ring is the authority ring: every member except draining ones. It
 	// answers "who owns this key after the migration completes" and is the
 	// only ring the failover ladder and the batch path consult.
@@ -201,9 +233,34 @@ type regionState struct {
 	// oldRing is the pre-migration ring: every member except joining ones.
 	// nil outside a migration window (the two member sets are equal). A key
 	// whose owners differ between the rings is mid-handoff: writes go to
-	// both owners and reads race both (see dualTargets).
+	// both owners and reads race both (see owners).
 	oldRing *hashring.Ring
 	conns   map[string]*rpc.Client // addr -> pooled client
+}
+
+// target names one of the region's ring members as an RPC destination.
+// Every member of either ring has its pooled client in the same
+// regionState (onInstances builds both from one instance list).
+//
+//ips:hotpath
+func (rs *regionState) target(addr string) batchTarget {
+	return batchTarget{region: rs.name, addr: addr, conn: rs.conns[addr]}
+}
+
+// owners resolves id's owners in the region: auth is the authority-ring
+// owner, old is the old-ring owner when a migration window is open for
+// this key ("" when the region has no window or both rings agree — the
+// common case, where routing is single-owner).
+//
+//ips:hotpath
+func (rs *regionState) owners(id model.ProfileID) (auth, old string) {
+	auth = rs.ring.Get(id)
+	if rs.oldRing != nil {
+		if o := rs.oldRing.Get(id); o != auth {
+			old = o
+		}
+	}
+	return auth, old
 }
 
 // New creates a client and starts its discovery refresh.
@@ -237,9 +294,9 @@ func New(opts Options) (*Client, error) {
 	}
 	c := &Client{
 		opts:    opts,
-		regions: make(map[string]*regionState),
 		closing: make(chan struct{}),
 	}
+	c.routes.Store(&routes{})
 	if opts.BreakerThreshold >= 0 {
 		c.Breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
@@ -249,11 +306,13 @@ func New(opts Options) (*Client, error) {
 	return c, nil
 }
 
-// onInstances rebuilds the per-region rings from a fresh instance list.
-// Each region gets an authority ring (everything but draining members)
-// and, while a join or drain is in flight, an old ring (everything but
-// joining members); outside a window oldRing is nil and routing collapses
-// to the single-ring fast path.
+// onInstances publishes a new routing snapshot from a fresh instance
+// list. Each region gets an authority ring (everything but draining
+// members) and, while a join or drain is in flight, an old ring
+// (everything but joining members); outside a window oldRing is nil and
+// routing collapses to the single-ring fast path. Rings and connections
+// whose membership did not change are carried over from the previous
+// snapshot as they are; nothing already published is modified.
 func (c *Client) onInstances(instances []discovery.Instance) {
 	type memberSets struct {
 		auth, old []string
@@ -274,50 +333,81 @@ func (c *Client) onInstances(instances []discovery.Instance) {
 			ms.old = append(ms.old, in.Addr)
 		}
 	}
+	names := make([]string, 0, len(byRegion))
+	for region := range byRegion {
+		names = append(names, region)
+	}
+	sort.Strings(names)
+	for i, region := range names {
+		if region == c.opts.Region {
+			// Local region first; the others keep their name order.
+			copy(names[1:i+1], names[:i])
+			names[0] = region
+			break
+		}
+	}
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	// Update or create region states.
-	for region, ms := range byRegion {
-		rs := c.regions[region]
-		if rs == nil {
-			rs = &regionState{ring: hashring.New(0), conns: make(map[string]*rpc.Client)}
-			c.regions[region] = rs
+	prev := c.routes.Load()
+	next := &routes{regions: make([]*regionState, 0, len(names))}
+	for _, region := range names {
+		ms := byRegion[region]
+		was := prev.region(region)
+		if was == nil {
+			was = &regionState{}
 		}
-		rs.ring.SetMembers(ms.auth)
-		if sameMembers(ms.auth, ms.old) {
-			// No joining and no draining members: no migration window in
-			// this region. (Length alone can't prove that — a simultaneous
-			// join and drain keeps the counts equal while the sets differ.)
-			rs.oldRing = nil
-		} else {
-			if rs.oldRing == nil {
-				rs.oldRing = hashring.New(0)
+		rs := &regionState{name: region, ring: ringFor(was.ring, ms.auth), conns: make(map[string]*rpc.Client, len(ms.all))}
+		if !sameMembers(ms.auth, ms.old) {
+			// A joining or draining member: a migration window is open in
+			// this region. (Length alone can't prove there is none — a
+			// simultaneous join and drain keeps the counts equal while the
+			// sets differ.)
+			rs.oldRing = ringFor(was.oldRing, ms.old)
+		}
+		for addr := range ms.all {
+			conn := was.conns[addr]
+			if conn == nil {
+				conn = c.newConn(addr)
 			}
-			rs.oldRing.SetMembers(ms.old)
+			rs.conns[addr] = conn
 		}
-		// Retire connections to departed instances: drop them from the
-		// routing table now (no new calls), close the socket only after a
-		// call-timeout grace so in-flight calls finish instead of dying
-		// with a conn-closed error on every refresh that loses a member.
-		for addr, conn := range rs.conns {
-			if !ms.all[addr] {
-				delete(rs.conns, addr)
+		next.regions = append(next.regions, rs)
+	}
+	// Retire connections to departed instances: they are out of the new
+	// snapshot now (no new calls); the socket closes only after a
+	// call-timeout grace so in-flight calls finish instead of dying with a
+	// conn-closed error on every refresh that loses a member.
+	for _, was := range prev.regions {
+		rs := next.region(was.name)
+		for addr, conn := range was.conns {
+			if rs == nil || rs.conns[addr] != conn {
 				c.retireConn(conn)
 			}
 		}
 	}
-	// Drop empty regions.
-	for region, rs := range c.regions {
-		if _, ok := byRegion[region]; !ok {
-			for _, conn := range rs.conns {
-				c.retireConn(conn)
-			}
-			delete(c.regions, region)
-		}
+	c.routes.Store(next)
+}
+
+// ringFor returns a ring over members: prev itself when its membership is
+// already exactly that (published rings are never modified), a new ring
+// otherwise.
+func ringFor(prev *hashring.Ring, members []string) *hashring.Ring {
+	if prev != nil && sameMembers(prev.Members(), members) {
+		return prev
 	}
+	ring := hashring.New(0)
+	ring.SetMembers(members)
+	return ring
+}
+
+func (c *Client) newConn(addr string) *rpc.Client {
+	cl := rpc.NewClient(addr)
+	cl.CallTimeout = c.opts.CallTimeout
+	return cl
 }
 
 // sameMembers reports whether two member lists drawn from the same
@@ -357,83 +447,14 @@ func (c *Client) retireConn(conn *rpc.Client) {
 	}()
 }
 
-// conn returns a pooled client for addr in region.
+// conn returns the pooled client for addr in region, nil when the
+// current snapshot does not list that instance (discovery publishes a
+// client for every instance it lists, and nothing else creates one).
 func (c *Client) conn(region, addr string) *rpc.Client {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rs := c.regions[region]
-	if rs == nil {
-		rs = &regionState{ring: hashring.New(0), conns: make(map[string]*rpc.Client)}
-		c.regions[region] = rs
+	if rs := c.routes.Load().region(region); rs != nil {
+		return rs.conns[addr]
 	}
-	cl := rs.conns[addr]
-	if cl == nil {
-		cl = rpc.NewClient(addr)
-		cl.CallTimeout = c.opts.CallTimeout
-		rs.conns[addr] = cl
-	}
-	return cl
-}
-
-// regionsSnapshot returns region names with the local region first.
-func (c *Client) regionsSnapshot() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.regions))
-	for r := range c.regions {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	// Move local region to the front.
-	for i, r := range out {
-		if r == c.opts.Region {
-			out[0], out[i] = out[i], out[0]
-			break
-		}
-	}
-	return out
-}
-
-// route returns the owning instance address for id in region.
-func (c *Client) route(region string, id model.ProfileID) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rs := c.regions[region]
-	if rs == nil {
-		return ""
-	}
-	return rs.ring.Get(id)
-}
-
-// dualTargets resolves id's owners in region: auth is the authority-ring
-// owner, old is the old-ring owner when a migration window is open for
-// this key ("" when the region has no window or both rings agree — the
-// common case, where routing is single-owner).
-func (c *Client) dualTargets(region string, id model.ProfileID) (auth, old string) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rs := c.regions[region]
-	if rs == nil {
-		return "", ""
-	}
-	auth = rs.ring.Get(id)
-	if rs.oldRing != nil {
-		if o := rs.oldRing.Get(id); o != auth {
-			old = o
-		}
-	}
-	return auth, old
-}
-
-// routeN returns up to n distinct candidate addresses for id in region.
-func (c *Client) routeN(region string, id model.ProfileID, n int) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rs := c.regions[region]
-	if rs == nil {
-		return nil
-	}
-	return rs.ring.GetN(id, n)
+	return nil
 }
 
 // traceStart returns ctx carrying a trace when this request should be
@@ -462,12 +483,12 @@ func (c *Client) Add(table string, id model.ProfileID, entries ...wire.AddEntry)
 // under a client.write root span with one RPC round trip per region.
 func (c *Client) AddCtx(ctx context.Context, table string, id model.ProfileID, entries ...wire.AddEntry) error {
 	start := time.Now()
-	defer func() { c.WriteLat.Observe(time.Since(start)) }()
 	c.Requests.Inc()
 	ctx, owned := c.traceStart(ctx)
 	wctx, root := trace.StartSpan(ctx, trace.StageClientWrite)
 
-	payload := wire.EncodeAdd(&wire.AddRequest{
+	sc := getScratch()
+	sc.payload = wire.AppendAdd(sc.payload[:0], &wire.AddRequest{
 		Caller: c.opts.Caller, Table: table, ProfileID: id, Entries: entries,
 	})
 	method := wire.MethodAdd
@@ -477,57 +498,41 @@ func (c *Client) AddCtx(ctx context.Context, table string, id model.ProfileID, e
 
 	var lastErr error
 	ok := 0
-	for _, region := range c.regionsSnapshot() {
-		auth, old := c.dualTargets(region, id)
-		targets := make([]string, 0, 2)
-		if old != "" {
-			// Migration window: the write lands on the outgoing owner too,
-			// so its copy stays a superset until the window closes and
-			// nothing is lost if the migration is rolled back. Old owner
-			// first — it preserves the pre-migration ordering guarantee.
-			targets = append(targets, old)
-		}
-		if auth != "" {
-			targets = append(targets, auth)
-		}
-		// A region accepts the write only when EVERY targeted owner takes
-		// it. Inside a migration window that means both legs: the handoff's
-		// whole safety argument — the outgoing owner's copy is a superset,
-		// content installs replace the destination's slices wholesale, the
-		// release pass is mark-only — holds only for writes that reached
-		// both owners. A write that landed on just one leg must surface as
-		// a failure, not an acknowledgment: acked old-only writes would be
-		// dropped by the mark-only release, and acked authority-only writes
-		// would be clobbered by a later content pass shipping a fresher
-		// source blob that never contained them.
-		regionOK := len(targets) > 0
-		for _, addr := range targets {
-			// Writes are not idempotent, so they are never hedged or retried
-			// within a region — but a tripped breaker still skips a broken
-			// instance instead of spending a timeout on it. The remaining
-			// legs are still issued after a failure: landing the write on
-			// every reachable owner keeps the window's copies as close as
-			// an unacknowledged write can.
-			if c.Breaker != nil && !c.Breaker.Allow(addr) {
-				lastErr = ErrBreakerOpen
-				regionOK = false
+	for _, rs := range c.routes.Load().regions {
+		auth, old := rs.owners(id)
+		// The legs: the authority owner and, inside a migration window,
+		// the outgoing owner too — its copy stays a superset until the
+		// window closes and nothing is lost if the migration is rolled
+		// back. Old owner first: it preserves the pre-migration ordering
+		// guarantee. The remaining leg is still issued after a failure:
+		// landing the write on every reachable owner keeps the window's
+		// copies as close as an unacknowledged write can.
+		//
+		// A region accepts the write only when EVERY leg takes it. Inside
+		// a window that means both: the handoff's whole safety argument —
+		// the outgoing owner's copy is a superset, content installs replace
+		// the destination's slices wholesale, the release pass is mark-only
+		// — holds only for writes that reached both owners. A write that
+		// landed on just one leg must surface as a failure, not an
+		// acknowledgment: acked old-only writes would be dropped by the
+		// mark-only release, and acked authority-only writes would be
+		// clobbered by a later content pass shipping a fresher source blob
+		// that never contained them.
+		regionOK := auth != "" || old != ""
+		for _, addr := range [2]string{old, auth} {
+			if addr == "" {
 				continue
 			}
-			c.WriteRPCs.Inc()
-			_, err := c.conn(region, addr).CallCtx(wctx, method, payload)
-			if c.Breaker != nil {
-				c.Breaker.Record(addr, transportOK(err))
-			}
-			if err != nil {
+			if err := c.writeLeg(wctx, rs, addr, method, sc.payload); err != nil {
 				lastErr = err
 				regionOK = false
-				continue
 			}
 		}
 		if regionOK {
 			ok++
 		}
 	}
+	scratchPool.Put(sc)
 	var retErr error
 	if ok == 0 {
 		c.Errors.Inc()
@@ -538,29 +543,62 @@ func (c *Client) AddCtx(ctx context.Context, table string, id model.ProfileID, e
 	}
 	root.EndErr(retErr)
 	c.opts.Tracer.Done(owned)
+	c.WriteLat.Observe(time.Since(start))
 	return retErr
 }
 
+// writeLeg issues one add RPC to addr. Writes are not idempotent, so they
+// are never hedged or retried within a region — but a tripped breaker
+// still skips a broken instance instead of spending a timeout on it.
+func (c *Client) writeLeg(ctx context.Context, rs *regionState, addr, method string, payload []byte) error {
+	if c.Breaker != nil && !c.Breaker.Allow(addr) {
+		return ErrBreakerOpen
+	}
+	c.WriteRPCs.Inc()
+	_, err := rs.conns[addr].CallCtx(ctx, method, payload)
+	if c.Breaker != nil {
+		c.Breaker.Record(addr, transportOK(err))
+	}
+	return err
+}
+
+// callScratch is the per-request storage a read or write borrows: the
+// encoded request and, for reads, the raw response the decode runs over.
+type callScratch struct {
+	payload, raw []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(callScratch) }}
+
+func getScratch() *callScratch { return scratchPool.Get().(*callScratch) }
+
 // queryMethod issues a read with local-region preference and the full
 // degradation ladder: hedge a slow primary, budgeted backoff retries down
-// the candidate ladder, broken instances skipped by their breakers.
+// the candidate ladder, broken instances skipped by their breakers. In
+// the steady state it allocates only the response it returns.
 func (c *Client) queryMethod(ctx context.Context, method string, req *wire.QueryRequest) (*wire.QueryResponse, error) {
 	start := time.Now()
-	defer func() { c.QueryLat.Observe(time.Since(start)) }()
 	c.Requests.Inc()
 	ctx, owned := c.traceStart(ctx)
 	qctx, root := trace.StartSpan(ctx, trace.StageClientQuery)
 	req.Caller = c.opts.Caller
-	payload := wire.EncodeQuery(req)
+	sc := getScratch()
+	sc.payload = wire.AppendQuery(sc.payload[:0], req)
 
-	raw, err := c.readCall(qctx, method, payload, req.ProfileID)
+	raw, err := c.readCall(qctx, method, sc.payload, req.ProfileID, sc.raw[:0])
 	root.EndErr(err)
 	c.opts.Tracer.Done(owned)
+	var resp *wire.QueryResponse
 	if err != nil {
 		c.Errors.Inc()
-		return nil, fmt.Errorf("client: query failed: %w", err)
+		err = fmt.Errorf("client: query failed: %w", err)
+	} else {
+		sc.raw = raw
+		resp, err = wire.DecodeQueryResponse(raw)
 	}
-	return wire.DecodeQueryResponse(raw)
+	scratchPool.Put(sc)
+	c.QueryLat.Observe(time.Since(start))
+	return resp, err
 }
 
 // hedgeDelay resolves the configured hedge trigger: fixed, adaptive
@@ -605,282 +643,6 @@ func transportOK(err error) bool {
 	return errors.As(err, &remote)
 }
 
-// candidates returns the failover ladder for id — ring owner plus
-// successors in the local region first, then the other regions — with
-// breaker-ready instances ahead of ones currently skipped, so a broken
-// primary costs a reorder instead of a timeout.
-func (c *Client) candidates(id model.ProfileID) []batchTarget {
-	regions := c.regionsSnapshot()
-	var ready, blocked []batchTarget
-	seen := make(map[string]bool, c.opts.Retries*len(regions))
-	for _, region := range regions {
-		for _, addr := range c.routeN(region, id, c.opts.Retries) {
-			if seen[addr] {
-				continue
-			}
-			seen[addr] = true
-			t := batchTarget{region: region, addr: addr}
-			if c.Breaker != nil && !c.Breaker.Ready(addr) {
-				blocked = append(blocked, t)
-				continue
-			}
-			ready = append(ready, t)
-		}
-	}
-	return append(ready, blocked...)
-}
-
-// attemptKind labels a read-path RPC launch for exact accounting.
-type attemptKind int
-
-const (
-	attemptPrimary attemptKind = iota
-	attemptRetry
-	attemptHedge
-	attemptDual
-)
-
-// launch issues one read RPC asynchronously, feeding the breaker and the
-// attempt counters, and delivers the outcome on resCh. Each attempt gets
-// its own span (client.primary / client.retry / client.hedge /
-// client.dual) so a trace shows exactly which attempt carried the winning
-// response; losers that finish after the request returns end their spans
-// with zero duration.
-func (c *Client) launch(ctx context.Context, tgt batchTarget, method string, payload []byte, kind attemptKind, resCh chan<- attemptResult) {
-	c.Attempts.Inc()
-	stage := trace.StageClientPrimary
-	switch kind {
-	case attemptPrimary:
-		c.Primaries.Inc()
-	case attemptRetry:
-		c.Retries.Inc()
-		c.Failovers.Inc()
-		stage = trace.StageClientRetry
-	case attemptHedge:
-		c.Hedges.Inc()
-		stage = trace.StageClientHedge
-	case attemptDual:
-		c.Duals.Inc()
-		stage = trace.StageClientDual
-	}
-	conn := c.conn(tgt.region, tgt.addr)
-	actx, sp := trace.StartSpan(ctx, stage)
-	go func() {
-		raw, err := conn.CallCtx(actx, method, payload)
-		sp.EndErr(err)
-		if c.Breaker != nil {
-			c.Breaker.Record(tgt.addr, transportOK(err))
-		}
-		if kind == attemptHedge {
-			c.hedgeInFlight.Add(-1)
-		}
-		resCh <- attemptResult{raw: raw, err: err, hedged: kind == attemptHedge}
-	}()
-}
-
-type attemptResult struct {
-	raw    []byte
-	err    error
-	hedged bool
-}
-
-// readCall routes one idempotent read. A key inside a migration window
-// (its authority and old owners differ in the first region that has an
-// owner at all) takes the dual-read path; everything else — the entire
-// steady state — takes the resilient ladder unchanged.
-//
-// Breakers gate the window's legs old-first, because Allow is committal
-// (it may admit a half-open probe that must then actually be issued):
-// with the old owner refused the ladder is the only path left and no
-// admission has been consumed; with the old owner admitted but the
-// authority refused, the read is served from the old owner alone — its
-// copy is the preferred response anyway, and the ladder would route on
-// the authority ring, whose owner (and ring-neighbor failover
-// candidates) may not hold the profile's migrated content yet, turning
-// a breaker skip into an empty-but-successful answer.
-func (c *Client) readCall(ctx context.Context, method string, payload []byte, id model.ProfileID) ([]byte, error) {
-	for _, region := range c.regionsSnapshot() {
-		auth, old := c.dualTargets(region, id)
-		if auth == "" {
-			continue
-		}
-		if old == "" {
-			break
-		}
-		if c.Breaker != nil && !c.Breaker.Allow(old) {
-			// Old owner breaker-blocked: the ladder knows how to wait
-			// breakers out.
-			break
-		}
-		oldTgt := batchTarget{region: region, addr: old}
-		if c.Breaker != nil && !c.Breaker.Allow(auth) {
-			return c.oldOnlyRead(ctx, method, payload, oldTgt, id)
-		}
-		return c.dualRead(ctx, method, payload,
-			batchTarget{region: region, addr: auth}, oldTgt, id)
-	}
-	return c.resilientCall(ctx, method, payload, id)
-}
-
-// oldOnlyRead serves an in-window read from the outgoing owner alone —
-// the path taken when the incoming (authority) owner is breaker-blocked.
-// The old owner's answer is the one dualRead would prefer regardless, so
-// skipping the blocked authority leg costs nothing; only if the old
-// owner also fails does the request fall back to the resilient ladder.
-func (c *Client) oldOnlyRead(ctx context.Context, method string, payload []byte, old batchTarget, id model.ProfileID) ([]byte, error) {
-	c.budget.onPrimary()
-	ch := make(chan attemptResult, 1)
-	c.launch(ctx, old, method, payload, attemptDual, ch)
-	if r := <-ch; r.err == nil {
-		c.DualWins.Inc()
-		return r.raw, nil
-	}
-	return c.resilientCall(ctx, method, payload, id)
-}
-
-// dualRead races a migrating key's two owners and prefers the outgoing
-// owner's response: inside the window its copy is a superset of the
-// incoming owner's (acknowledged dual-writes land on both while profile
-// state only flows old→new), so the preference needs no watermark
-// comparison — journal LSNs from different instances are not comparable
-// anyway. The old leg's success returns immediately, without waiting for
-// the authority: a stalled or still-warming authority (a node mid-join)
-// must not add its latency to every in-window read. The authority
-// attempt is still not wasted — it warms the incoming owner's cache, and
-// its result is waited for (and used) only once the old leg has failed.
-// Should both fail, the request falls back to the full resilient ladder
-// rather than surfacing a window-shaped error to the caller.
-func (c *Client) dualRead(ctx context.Context, method string, payload []byte, auth, old batchTarget, id model.ProfileID) ([]byte, error) {
-	c.budget.onPrimary()
-	authCh := make(chan attemptResult, 1)
-	oldCh := make(chan attemptResult, 1)
-	c.launch(ctx, auth, method, payload, attemptPrimary, authCh)
-	c.launch(ctx, old, method, payload, attemptDual, oldCh)
-	var authRes *attemptResult
-	for {
-		select {
-		case r := <-oldCh:
-			if r.err == nil {
-				// DualWins counts only authority failures observed before
-				// the old leg answered; an authority still in flight here
-				// is abandoned unjudged (its channel is buffered).
-				if authRes != nil && authRes.err != nil {
-					c.DualWins.Inc()
-				}
-				return r.raw, nil
-			}
-			if authRes == nil {
-				r := <-authCh
-				authRes = &r
-			}
-			if authRes.err == nil {
-				return authRes.raw, nil
-			}
-			return c.resilientCall(ctx, method, payload, id)
-		case r := <-authCh:
-			// Remember the authority outcome but keep waiting on the old
-			// leg: even a successful authority answer may be missing
-			// content its cache has not received yet.
-			authRes = &r
-		}
-	}
-}
-
-// resilientCall runs one idempotent read against id's candidate ladder:
-// the primary goes to the first breaker-admitted candidate; if it dawdles
-// past the hedge delay a single duplicate races it from the next
-// candidate; failures walk the remaining ladder under the retry budget
-// with jittered exponential backoff. The first success wins.
-func (c *Client) resilientCall(ctx context.Context, method string, payload []byte, id model.ProfileID) ([]byte, error) {
-	psp := trace.StartLeaf(ctx, trace.StageClientPick)
-	cands := c.candidates(id)
-	psp.End()
-	if len(cands) == 0 {
-		return nil, ErrNoInstances
-	}
-	c.budget.onPrimary()
-
-	// Buffered for every possible launch so loser goroutines never block.
-	resCh := make(chan attemptResult, len(cands)+1)
-	next := 0
-	inflight := 0
-	// issue launches the next admissible candidate; breaker-refused ones
-	// are skipped (they fail fast locally instead of eating a timeout).
-	issue := func(kind attemptKind) bool {
-		for next < len(cands) {
-			tgt := cands[next]
-			next++
-			if c.Breaker != nil && !c.Breaker.Allow(tgt.addr) {
-				continue
-			}
-			c.launch(ctx, tgt, method, payload, kind, resCh)
-			inflight++
-			return true
-		}
-		return false
-	}
-	if !issue(attemptPrimary) {
-		// Whole ladder breaker-refused: fail fast. The breakers admit
-		// probes once their cooldowns elapse, so this clears itself.
-		return nil, ErrBreakerOpen
-	}
-
-	var hedgeTimer, retryTimer *time.Timer
-	var hedgeCh, retryCh <-chan time.Time
-	if hd := c.hedgeDelay(); hd >= 0 && next < len(cands) {
-		hedgeTimer = time.NewTimer(hd)
-		hedgeCh = hedgeTimer.C
-		defer hedgeTimer.Stop()
-	}
-	retries := 0
-	var lastErr error
-	for {
-		if inflight == 0 && retryCh == nil {
-			if lastErr == nil {
-				lastErr = ErrNoInstances
-			}
-			return nil, lastErr
-		}
-		select {
-		case r := <-resCh:
-			inflight--
-			if r.err == nil {
-				if r.hedged {
-					c.HedgeWins.Inc()
-				}
-				return r.raw, nil
-			}
-			lastErr = r.err
-			// A failed attempt means we are in retry mode now; the hedge
-			// timer only guards against a *slow* healthy primary.
-			if hedgeCh != nil {
-				hedgeTimer.Stop()
-				hedgeCh = nil
-			}
-			if retryCh == nil && next < len(cands) {
-				if c.budget.allow() {
-					retryTimer = time.NewTimer(c.boff.delay(retries))
-					retryCh = retryTimer.C
-					retries++
-				} else {
-					c.RetriesDenied.Inc()
-				}
-			}
-		case <-retryCh:
-			retryCh = nil
-			retryTimer.Stop()
-			issue(attemptRetry)
-		case <-hedgeCh:
-			hedgeCh = nil
-			if c.hedgeAcquire() {
-				if !issue(attemptHedge) {
-					c.hedgeInFlight.Add(-1)
-				}
-			}
-		}
-	}
-}
-
 // TopK implements get_profile_topK (§II-B2).
 func (c *Client) TopK(req *wire.QueryRequest) (*wire.QueryResponse, error) {
 	return c.queryMethod(context.Background(), wire.MethodTopK, req)
@@ -922,10 +684,13 @@ func (c *Client) Stats() ([]*wire.StatsResponse, error) {
 	var out []*wire.StatsResponse
 	perr := &PartialError{Errs: make(map[int]error)}
 	for i, inst := range insts {
-		raw, err := c.conn(inst.Region, inst.Addr).Call(wire.MethodStats, nil)
 		var st *wire.StatsResponse
-		if err == nil {
-			st, err = wire.DecodeStats(raw)
+		err := errNotRouted // the instance left between the two discovery reads
+		if conn := c.conn(inst.Region, inst.Addr); conn != nil {
+			var raw []byte
+			if raw, err = conn.Call(wire.MethodStats, nil); err == nil {
+				st, err = wire.DecodeStats(raw)
+			}
 		}
 		if err != nil {
 			perr.Failed = append(perr.Failed, i)
@@ -1015,12 +780,11 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	close(c.closing)
-	for _, rs := range c.regions {
+	for _, rs := range c.routes.Swap(&routes{}).regions {
 		for _, conn := range rs.conns {
 			conn.Close()
 		}
 	}
-	c.regions = nil
 	c.mu.Unlock()
 	c.closeWG.Wait()
 	return nil

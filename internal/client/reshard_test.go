@@ -76,7 +76,7 @@ func TestDrainingNodeLosesNewPrimariesWithinOneRefresh(t *testing.T) {
 		if old != victim.Addr {
 			t.Fatalf("key %d: old owner = %q, want draining node %s", id, old, victim.Addr)
 		}
-		for _, cand := range c.candidates(id) {
+		for _, cand := range c.candidates(c.routes.Load(), id, nil) {
 			if cand.addr == victim.Addr {
 				t.Fatalf("key %d: draining node still on the candidate ladder", id)
 			}

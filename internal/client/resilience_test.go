@@ -1,6 +1,7 @@
 package client
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -258,4 +259,84 @@ func TestRetryBudgetDeniesUnderTotalOutage(t *testing.T) {
 		t.Fatalf("retries = %d, budget (burst 2 + 20×0.2) should cap them at 6", got)
 	}
 	checkAttemptIdentity(t, c)
+}
+
+// TestHedgeLoserStillFeedsBreaker: the primary is blackholed (the server
+// computes but never answers), the hedge wins, and the read returns long
+// before the primary's call timeout. Nobody is waiting on the primary any
+// more — no per-attempt goroutine exists — yet its eventual timeout must
+// still reach Breaker.Record through the decided race's reaper, its hedge
+// accounting must balance, and once it has, no goroutine may remain.
+func TestHedgeLoserStillFeedsBreaker(t *testing.T) {
+	const callTimeout = 300 * time.Millisecond
+	cl, clock := newCluster(t, []string{"east"}, 3)
+	c := newResilientClient(t, cl, Options{
+		Region:           "east",
+		HedgeDelay:       10 * time.Millisecond,
+		CallTimeout:      callTimeout,
+		BreakerThreshold: 1, // the one timeout trips it
+		BreakerCooldown:  time.Minute,
+	})
+	now := clock.Now()
+	const victimID = model.ProfileID(1)
+	if err := c.Add("up", victimID, wire.AddEntry{Timestamp: now - 1000, Slot: 1, Type: 1, FID: 7, Counts: []int64{5, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	forceVisible(cl)
+	for _, node := range cl.Nodes() {
+		if err := node.Instance().FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victimAddr := c.route("east", victimID)
+	victim := nodeByAddr(t, cl, victimAddr)
+	// Warm the connections so the baseline includes their read loops.
+	for id := model.ProfileID(1); id <= 30; id++ {
+		if _, err := c.TopK(queryReq(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+
+	victim.Service().RPC().SetDropRate(func() float64 { return 1 })
+	defer victim.Service().RPC().SetDropRate(nil)
+	start := time.Now()
+	resp, err := c.TopK(queryReq(victimID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= callTimeout {
+		t.Fatalf("read took %v: it waited for the blackholed primary instead of the hedge", elapsed)
+	}
+	if len(resp.Features) == 0 {
+		t.Fatal("hedged read returned no features")
+	}
+	if c.HedgeWins.Value() != 1 {
+		t.Fatalf("hedge wins = %d, want 1", c.HedgeWins.Value())
+	}
+	if st := c.Breaker.State(victimAddr); st != BreakerClosed {
+		t.Fatalf("breaker %v before the primary timed out", st)
+	}
+
+	// The primary's timeout arrives with no reader left.
+	for deadline := time.Now().Add(10 * callTimeout); c.Breaker.State(victimAddr) != BreakerOpen; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the blackholed primary's timeout never reached its breaker (state %v, trips %d)",
+				c.Breaker.State(victimAddr), c.Breaker.Trips.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if c.Breaker.Trips.Value() != 1 {
+		t.Fatalf("breaker trips = %d, want 1", c.Breaker.Trips.Value())
+	}
+	if n := c.hedgeInFlight.Load(); n != 0 {
+		t.Fatalf("hedgeInFlight = %d after the race settled", n)
+	}
+	checkAttemptIdentity(t, c)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the hedged read, %d after it settled", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -186,16 +186,16 @@ type assignment struct {
 // whatever happened in between.
 func (s *Subscription) assign() map[string]*assignment {
 	out := make(map[string]*assignment)
-	regions := s.c.regionsSnapshot()
+	regions := s.c.routes.Load().regions
 	for _, id := range s.q.IDs {
-		for _, region := range regions {
-			addr := s.c.route(region, id)
+		for _, rs := range regions {
+			addr := rs.ring.Get(id)
 			if addr == "" {
 				continue
 			}
 			a := out[addr]
 			if a == nil {
-				a = &assignment{region: region}
+				a = &assignment{region: rs.name}
 				out[addr] = a
 			}
 			a.ids = append(a.ids, id)
@@ -272,7 +272,11 @@ func (s *Subscription) worker(os *ownerStream) {
 		Caller:   s.c.opts.Caller,
 		Pipeline: s.q.RenderFor(os.ids),
 	})
-	st, err := s.c.conn(os.region, os.addr).Stream(os.ctx, wire.MethodSubWatch, payload)
+	conn := s.c.conn(os.region, os.addr)
+	if conn == nil {
+		return // the owner left since the assignment: the next reconcile reassigns its ids
+	}
+	st, err := conn.Stream(os.ctx, wire.MethodSubWatch, payload)
 	if err != nil {
 		return
 	}

@@ -9,14 +9,16 @@
 // passes: each pass snapshots the moving profiles on their current owner
 // (draining every dirty one through the WAL-backed flush path first) and
 // installs the frames on the new owner, fenced by the source's journal
-// watermarks so repeats are idempotent. Passes loop until one installs
-// nothing — at that point every write the sources accepted before the
-// pass sampled them is on the destination, and every later write reaches
-// the destination directly through the client's dual-write. Only then
-// does the membership flip, and a final release pass drops the moved
-// profiles from the source and raises the destination's migration
-// watermarks (mark-only, so writes taken after cutover are never
-// clobbered).
+// watermarks so repeats are idempotent. A profile is re-shipped until two
+// consecutive snapshots find its source watermark unchanged — at that
+// point every write the source accepted before the later snapshot is on
+// the destination, and every later write reaches the destination
+// directly through the client's dual-write; the profile is settled and
+// never installed again. Passes loop until every moving profile has
+// settled. Only then does the membership flip, and a final release pass
+// drops the moved profiles from the source and raises the destination's
+// migration watermarks (mark-only, so writes taken after cutover are
+// never clobbered).
 package cluster
 
 import (
@@ -32,11 +34,15 @@ import (
 	"ips/internal/wire"
 )
 
-// maxMigratePasses bounds the loop-until-quiet content phase. Each pass
-// only repeats for profiles written *during* the previous pass, so under
-// any workload whose per-profile write interval exceeds one snapshot
-// round trip this converges in two or three passes; the cap turns a
-// pathological hot-loop into an error instead of a hang.
+// maxMigratePasses bounds the content phase. A pass re-ships only the
+// profiles written since the previous pass sampled them, each pass is
+// therefore shorter than the one before, and a profile leaves the loop
+// the first time it goes one pass without a write — so any workload
+// whose per-profile write interval exceeds one (shrinking) snapshot
+// round trip converges in a handful of passes however many profiles
+// move and however high the aggregate write rate is. The cap turns a
+// single profile written faster than that into an error instead of a
+// hang.
 const maxMigratePasses = 50
 
 // migrateCallTimeout bounds one snapshot or install RPC — these carry
@@ -165,55 +171,122 @@ func (c *Cluster) Drain(name string) (*MigrationReport, error) {
 	return rep, nil
 }
 
-// runContentPasses ships snapshot/install rounds until one installs
-// nothing. A quiet pass proves the destinations hold every write the
-// sources had acknowledged when it sampled them; combined with the open
-// dual-write window, nothing acknowledged is ever lost to the handoff.
+// moveKey names one moving profile across passes.
+type moveKey struct {
+	table string
+	id    model.ProfileID
+}
+
+// handoff is the coordinator's memory of one moving profile across
+// content passes.
+type handoff struct {
+	// wal and mig are the source watermarks of the last frame sent. Both:
+	// a profile that itself migrated onto the source can carry a MigLSN
+	// above every LSN of the source's own journal, and only WalLSN moves
+	// with each write.
+	wal, mig uint64
+	// settled takes the profile out of the loop for good: installing it
+	// again could only clobber a dual write racing the install.
+	settled bool
+}
+
+// runContentPasses ships snapshot/install rounds until every moving
+// profile has settled, i.e. a pass ships nothing.
+//
+// A profile settles when two consecutive snapshots, taken at t1 < t2 with
+// the first one's install in between, carry the same source watermarks.
+// Every acknowledged write bumps the profile's WalLSN and dual writes
+// land on the old owner first, so the source acknowledged nothing for the
+// profile in (t1, t2]: a dual write the install clobbered on the destination
+// reached the source before t1 and is inside the installed frame, and one
+// that reaches the source after t2 reaches the destination after the
+// last install there will ever be. Combined with the open dual-write
+// window, nothing acknowledged is lost to the handoff. The loop ends
+// under any aggregate write rate: it needs each profile to go one pass
+// without a write, not all of them during the same pass.
 func (c *Cluster) runContentPasses(rep *MigrationReport, sources []*Node, oldR, authR *hashring.Ring) error {
+	h := make(map[moveKey]handoff)
 	for {
 		rep.Passes++
 		if rep.Passes > maxMigratePasses {
 			return fmt.Errorf("cluster: migration did not converge after %d passes", maxMigratePasses)
 		}
-		installed, marked, err := c.contentPass(sources, oldR, authR)
+		shipped, installed, marked, err := c.contentPass(h, sources, oldR, authR)
 		if err != nil {
 			return err
 		}
 		rep.Installed += installed
 		rep.Marked += marked
-		if installed == 0 {
+		if shipped == 0 {
 			return nil
 		}
 	}
 }
 
 // contentPass runs one snapshot/install round over every planned move
-// and reports how many frames the destinations accepted as fresh.
-func (c *Cluster) contentPass(sources []*Node, oldR, authR *hashring.Ring) (installed, marked int64, err error) {
+// that has not settled. It reports how many frames it shipped and how
+// many of them the destinations accepted as fresh.
+func (c *Cluster) contentPass(h map[moveKey]handoff, sources []*Node, oldR, authR *hashring.Ring) (shipped int, installed, marked int64, err error) {
 	for _, src := range sources {
 		for table := range c.opts.Tables {
 			byDest, err := movesFor(src, table, oldR, authR)
 			if err != nil {
-				return installed, marked, err
+				return shipped, installed, marked, err
 			}
 			for dest, ids := range byDest {
-				frames, err := callMigrateSnapshot(src.Addr, &wire.MigrateRequest{Table: table, IDs: ids})
-				if err != nil {
-					return installed, marked, err
-				}
-				if len(frames.Frames) == 0 {
+				ids = unsettled(h, table, ids)
+				if len(ids) == 0 {
 					continue
 				}
-				got, err := callMigrateInstall(dest, &wire.MigrateInstallRequest{Table: table, Frames: frames.Frames})
+				frames, err := callMigrateSnapshot(src.Addr, &wire.MigrateRequest{Table: table, IDs: ids})
 				if err != nil {
-					return installed, marked, err
+					return shipped, installed, marked, err
 				}
+				ship := changed(h, table, frames.Frames)
+				if len(ship) == 0 {
+					continue
+				}
+				got, err := callMigrateInstall(dest, &wire.MigrateInstallRequest{Table: table, Frames: ship})
+				if err != nil {
+					return shipped, installed, marked, err
+				}
+				shipped += len(ship)
 				installed += got.Installed
 				marked += got.Marked
 			}
 		}
 	}
-	return installed, marked, nil
+	return shipped, installed, marked, nil
+}
+
+// unsettled filters ids, in place, down to the profiles still in the loop.
+func unsettled(h map[moveKey]handoff, table string, ids []model.ProfileID) []model.ProfileID {
+	out := ids[:0]
+	for _, id := range ids {
+		if !h[moveKey{table, id}].settled {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// changed filters frames, in place, down to those never shipped or whose
+// watermarks moved since they were, and records them as shipped; a frame
+// whose watermarks held still since the last pass settles its profile.
+func changed(h map[moveKey]handoff, table string, frames []wire.MigrateFrame) []wire.MigrateFrame {
+	ship := frames[:0]
+	for _, fr := range frames {
+		k := moveKey{table, fr.ProfileID}
+		now := handoff{wal: fr.WalLSN, mig: fr.MigLSN}
+		if last, seen := h[k]; seen && last == now {
+			now.settled = true
+			h[k] = now
+			continue
+		}
+		h[k] = now
+		ship = append(ship, fr)
+	}
+	return ship
 }
 
 // releasePass drops every moved profile from its source (flushing it

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ips/internal/client"
+	"ips/internal/config"
 	"ips/internal/model"
 	"ips/internal/query"
 	"ips/internal/rpc"
@@ -15,7 +19,14 @@ import (
 // fast discovery propagation, the prerequisite for elastic resharding.
 func newReshardCluster(t *testing.T, perRegion int) *Cluster {
 	t.Helper()
+	return newReshardClusterWith(t, perRegion, nil)
+}
+
+// newReshardClusterWith seeds every instance with cfg (nil: defaults).
+func newReshardClusterWith(t *testing.T, perRegion int, cfg *config.Config) *Cluster {
+	t.Helper()
 	c, err := New(Options{
+		Config:             cfg,
 		Regions:            []string{"east"},
 		InstancesPerRegion: perRegion,
 		Tables:             map[string]*model.Schema{"up": model.NewSchema("like", "share")},
@@ -247,6 +258,90 @@ func TestDrainLiveMigration(t *testing.T) {
 			t.Fatalf("after second drain: query %d returned %+v, want count %d", id, resp.Features, want)
 		}
 	}
+}
+
+// TestDrainConvergesUnderSustainedWrites drains a node while closed-loop
+// writers hit the moving profiles as fast as the client lets them: some
+// moving profile is written during every content pass, so a coordinator
+// that waits for a pass in which none was cannot finish. Each profile
+// settles on its own instead — and settling early must lose nothing:
+// every acknowledged write is still counted afterwards. (Not "exactly
+// once": a write whose old leg made the last installed frame and whose
+// new leg lands after that install is counted twice on the new owner,
+// with any coordinator — at most one such write per closed-loop writer.)
+func TestDrainConvergesUnderSustainedWrites(t *testing.T) {
+	const profiles, writers = 64, 4
+	// Without write isolation a count is exact up to the writes in flight
+	// at a profile's last install: with it, every dual write the new owner
+	// buffered is counted again when merged over an installed frame that
+	// already contains it (ROADMAP item 7), which would drown a loss.
+	cfg := config.Default()
+	cfg.WriteIsolation = false
+	c := newReshardClusterWith(t, 2, &cfg)
+	cl := newReshardClient(t, c)
+	writeProfiles(t, cl, profiles)
+	mergeAll(c)
+
+	var (
+		acked [profiles + 1]atomic.Int64
+		errs  atomic.Int64
+		wg    sync.WaitGroup
+		stop  = make(chan struct{})
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := model.ProfileID(rng.Intn(profiles) + 1)
+				err := cl.Add("up", id, wire.AddEntry{
+					Timestamp: time.Now().UnixMilli() - 1000, Slot: 1, Type: 1, FID: 7,
+					Counts: []int64{1, 0},
+				})
+				if err != nil {
+					errs.Add(1)
+					continue
+				}
+				acked[id].Add(1)
+			}
+		}(w)
+	}
+	rep, err := c.Drain("ips-east-0")
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("drain under sustained writes: %v (%d passes)", err, rep.Passes)
+	}
+	if len(rep.Moves) == 0 {
+		t.Fatalf("drain moved nothing: %+v", rep)
+	}
+	if n := errs.Load(); n != 0 {
+		t.Fatalf("%d writes failed while the node drained", n)
+	}
+	mergeAll(c)
+	var total int64
+	for id := model.ProfileID(1); id <= profiles; id++ {
+		resp, err := cl.TopK(reshardQuery(id))
+		if err != nil {
+			t.Fatalf("query %d: %v", id, err)
+		}
+		want := int64(id) + acked[id].Load()
+		total += acked[id].Load()
+		if len(resp.Features) != 1 {
+			t.Fatalf("profile %d reads %+v after the drain", id, resp.Features)
+		}
+		if got := resp.Features[0].Counts[0]; got < want || got > want+writers {
+			t.Fatalf("profile %d counts %d after the drain, want %d (seed + acknowledged writes)", id, got, want)
+		}
+	}
+	t.Logf("%d moves over %d passes, %d installs, %d writes acknowledged meanwhile",
+		len(rep.Moves), rep.Passes, rep.Installed, total)
 }
 
 func TestReshardingRequiresJournal(t *testing.T) {

@@ -759,20 +759,33 @@ func (g *GCache) flushOne(id model.ProfileID) error {
 	return nil
 }
 
-// FlushAll synchronously persists every dirty resident profile.
+// FlushAll synchronously persists every dirty resident profile. Nothing
+// is locked or flushed inside Table.Each: the callback runs under a shard
+// read lock, and both things FlushAll needs invert an order eviction
+// relies on. flushOne re-enters the table (Table.Get takes the same
+// shard's read lock — a re-entrant RLock deadlocks once an eviction's
+// Table.Delete queues for the write lock in between), and a profile lock
+// taken under the shard lock is the reverse of eviction's profile lock →
+// Table.Delete. So Each only collects the residents; dirtiness is read
+// and the flush issued after it returns.
 func (g *GCache) FlushAll() error {
-	var firstErr error
+	var resident []*model.Profile
 	g.table.Each(func(p *model.Profile) bool {
+		resident = append(resident, p)
+		return true
+	})
+	var firstErr error
+	for _, p := range resident {
 		p.RLock()
 		dirty := p.Dirty
 		p.RUnlock()
-		if dirty {
-			if err := g.flushOne(p.ID); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if !dirty {
+			continue
 		}
-		return true
-	})
+		if err := g.flushOne(p.ID); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	return firstErr
 }
 

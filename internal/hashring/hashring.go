@@ -40,6 +40,8 @@ func New(vnodes int) *Ring {
 
 // hash64 mixes a 64-bit key (splitmix64 finalizer) — fast and well
 // distributed for sequential IDs.
+//
+//ips:hotpath
 func hash64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -114,47 +116,74 @@ func (r *Ring) SetMembers(nodes []string) {
 }
 
 // Get returns the node owning key, or "" when the ring is empty.
+//
+//ips:hotpath
 func (r *Ring) Get(key uint64) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := r.search(hash64(key))
 	if i == len(r.points) {
 		i = 0
 	}
 	return r.points[i].node
 }
 
+// search returns the index of the first virtual node at or clockwise
+// after h, len(r.points) when h is past the last one. Caller holds r.mu.
+//
+//ips:hotpath
+func (r *Ring) search(h uint64) int {
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // GetN returns the first n distinct nodes clockwise from key, for
 // replicated placement. Fewer are returned when the ring has fewer members.
 func (r *Ring) GetN(key uint64, n int) []string {
+	return r.AppendN(nil, key, n)
+}
+
+// AppendN is GetN appending into dst: with a caller-provided dst of
+// sufficient capacity (the client's failover ladder uses a small stack
+// array) the lookup allocates nothing. n is small, so distinctness is a
+// scan of what was appended rather than a set.
+func (r *Ring) AppendN(dst []string, key uint64, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
 	if n > len(r.members) {
 		n = len(r.members)
 	}
-	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
-	for len(out) < n {
+	i := r.search(hash64(key))
+	base := len(dst)
+next:
+	for len(dst)-base < n {
 		if i == len(r.points) {
 			i = 0
 		}
 		node := r.points[i].node
-		if _, dup := seen[node]; !dup {
-			seen[node] = struct{}{}
-			out = append(out, node)
-		}
 		i++
+		for _, have := range dst[base:] {
+			if have == node {
+				continue next
+			}
+		}
+		dst = append(dst, node)
 	}
-	return out
+	return dst
 }
 
 // Clone returns an independent ring with the same virtual-node count and

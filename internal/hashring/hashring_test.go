@@ -207,3 +207,27 @@ func BenchmarkGet(b *testing.B) {
 		r.Get(uint64(i))
 	}
 }
+
+// TestAppendNIntoCallerStorage: AppendN appends after what dst already
+// holds, agrees with GetN, and with capacity in hand allocates nothing —
+// the client's failover ladder runs it over a stack array per read.
+func TestAppendNIntoCallerStorage(t *testing.T) {
+	r := New(32)
+	for i := 0; i < 5; i++ {
+		r.Add(fmt.Sprintf("n%d", i))
+	}
+	var arr [8]string
+	for key := uint64(0); key < 200; key++ {
+		dst := append(arr[:0], "kept")
+		got := r.AppendN(dst, key, 3)
+		if got[0] != "kept" || fmt.Sprint(got[1:]) != fmt.Sprint(r.GetN(key, 3)) {
+			t.Fatalf("key %d: AppendN = %v, GetN = %v", key, got, r.GetN(key, 3))
+		}
+	}
+	if got := New(0).AppendN(arr[:0], 1, 3); len(got) != 0 {
+		t.Fatalf("empty ring appended %v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = r.AppendN(arr[:0], 99, 3) }); allocs != 0 {
+		t.Fatalf("AppendN into a stack array: %.1f allocs/run, want 0", allocs)
+	}
+}

@@ -92,6 +92,12 @@ func TestFullPipelineLifecycle(t *testing.T) {
 	}
 	for _, n := range cl.Nodes() {
 		n.Instance().MergeAll()
+		// Flushed, so that a hedge or failover landing on a ring successor
+		// loads the same state from the region's shared store: a hedged
+		// batch group could otherwise win with an empty answer.
+		if err := n.Instance().FlushAll(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Stage 2 — queries: every user's features are queryable through

@@ -423,7 +423,11 @@ func TestRecoveryWriteIsolationUnmergedAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, rec := range e.jn.Records() {
+	recs, err := e.jn.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
 		if rec.Op == wal.OpAdd && rec.Isolated && rec.LSN == 2 {
 			found = true
 		}

@@ -1,7 +1,7 @@
 package rpc
 
 // Allocation gates for the frame layer: encode into a reused buffer,
-// read+parse through a reused per-connection buffer. These are the
+// read+parse through the connection's fixed read buffer. These are the
 // transport stages of the zero-allocation read path; the end-to-end gate
 // lives in internal/server.
 
@@ -28,18 +28,18 @@ func (r *loopReader) Read(p []byte) (int, error) {
 
 func TestFrameCodecAllocFree(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 256)
-	encoded, err := appendFrame(nil, 42, kindRequest, "ips.query.topk", payload)
+	encoded, err := appendFrame(nil, outFrame{seq: 42, kind: kindRequest, method: "ips.query.topk", payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr := &loopReader{data: encoded}
-	var rbuf, out []byte
+	rd := frameReader{r: &loopReader{data: encoded}}
+	var out []byte
 	var fr frame
 	for i := 0; i < 8; i++ {
-		if fr, rbuf, err = readFrameReuse(lr, rbuf); err != nil {
+		if fr, err = rd.next(); err != nil {
 			t.Fatal(err)
 		}
-		if out, err = appendFrame(out[:0], fr.seq, kindRequest, "ips.query.topk", fr.payload); err != nil {
+		if out, err = appendFrame(out[:0], outFrame{seq: fr.seq, kind: kindRequest, method: "ips.query.topk", payload: fr.payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,10 +47,10 @@ func TestFrameCodecAllocFree(t *testing.T) {
 		t.Fatalf("frame roundtrip corrupted: seq=%d method=%q", fr.seq, fr.method)
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if fr, rbuf, err = readFrameReuse(lr, rbuf); err != nil {
+		if fr, err = rd.next(); err != nil {
 			t.Fatal(err)
 		}
-		if out, err = appendFrame(out[:0], fr.seq, kindRequest, "ips.query.topk", fr.payload); err != nil {
+		if out, err = appendFrame(out[:0], outFrame{seq: fr.seq, kind: kindRequest, method: "ips.query.topk", payload: fr.payload}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -65,7 +65,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 	var err error
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if out, err = appendFrame(out[:0], uint64(i), kindRequest, "ips.query.topk", payload); err != nil {
+		if out, err = appendFrame(out[:0], outFrame{seq: uint64(i), kind: kindRequest, method: "ips.query.topk", payload: payload}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,15 +73,14 @@ func BenchmarkFrameEncode(b *testing.B) {
 
 func BenchmarkFrameReadParse(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xAB}, 256)
-	encoded, err := appendFrame(nil, 42, kindRequest, "ips.query.topk", payload)
+	encoded, err := appendFrame(nil, outFrame{seq: 42, kind: kindRequest, method: "ips.query.topk", payload: payload})
 	if err != nil {
 		b.Fatal(err)
 	}
-	lr := &loopReader{data: encoded}
-	var rbuf []byte
+	rd := frameReader{r: &loopReader{data: encoded}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, rbuf, err = readFrameReuse(lr, rbuf); err != nil {
+		if _, err = rd.next(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -31,15 +32,25 @@ type Client struct {
 	dialDone chan struct{} // closed when the in-flight dial finishes
 	next     atomic.Uint64
 	closed   bool
+
+	// live is an immutable copy of conns, published (under mu) only while
+	// the pool is full; pick's steady state is one load of it. Nil sends
+	// pick down the locked path, which prunes, dials and republishes.
+	live atomic.Pointer[[]*clientConn]
+
+	// inflight counts the calls between Start and Finish on all of the
+	// client's connections: a call that starts while others are in flight
+	// asks its flush leader to yield (see connWriter.flush).
+	inflight atomic.Int32
 }
 
 // clientConn is one multiplexed connection with a reader goroutine
 // dispatching responses to waiting calls by sequence ID.
 type clientConn struct {
 	conn    net.Conn
-	cw      connWriter
+	cw      *connWriter
 	mu      sync.Mutex
-	pending map[uint64]*callSlot
+	pending map[uint64]*Call
 	// streams holds the open client streams multiplexed on this
 	// connection, keyed by the same sequence-ID namespace as pending
 	// (see stream.go).
@@ -48,55 +59,45 @@ type clientConn struct {
 	dead    atomic.Bool
 }
 
-type result struct {
-	payload []byte
+// Call is one in-flight request started with Client.Start: the rendezvous
+// between the caller and the connection's read loop. The caller waits on
+// Done and then calls Finish exactly once; after Finish the Call belongs
+// to the pool and must not be touched.
+//
+// Lifecycle. Start registers the call under a fresh sequence ID, arms its
+// timeout and queues the request frame. Exactly one party then takes it
+// out of the connection's pending table — the read loop with the
+// response, the call's own timer with ErrTimeout, or the connection's
+// teardown with the connection's error — fills in the outcome and signals
+// Done. Because the taker removes the call under the connection's lock, a
+// response that arrives after the timeout finds nothing to land in. Calls
+// recycle through a pool, so the steady state allocates nothing; the one
+// exception is a call whose timer fired: its timer callback may still be
+// running, so that call is left to the garbage collector instead.
+type Call struct {
+	done   chan struct{} // capacity 1: the single completion signal
+	c      *Client
+	cc     *clientConn
+	seq    uint64
+	method string
+	tr     *trace.Trace
+	span   trace.SpanRef // rpc.roundtrip
+	timer  *time.Timer   // runs expire; armed only between Start and Finish
+	armed  bool
+
+	// The outcome, written by whoever took the call before it signals.
+	buf     []byte // response payload, copied out of the read buffer
 	blob    []byte // traced responses: encoded server spans
+	hasBlob bool
 	err     error
 }
 
-// callSlot is one in-flight call's rendezvous point: a reusable channel
-// plus owned response storage the readLoop copies into. Slots recycle
-// through slotPool so the steady state allocates nothing per call. A
-// slot whose call timed out (or raced connection teardown) is abandoned,
-// never recycled: the readLoop may still deliver a late response into
-// it.
-type callSlot struct {
-	ch   chan result
-	buf  []byte // response payload storage
-	blob []byte // traced responses: span blob storage
-}
-
-var slotPool = sync.Pool{New: func() any { return &callSlot{ch: make(chan result, 1)} }}
-
-//ips:hotpath-trust sync.Pool misses allocate a fresh slot by design; steady-state Get reuses
-func getSlot() *callSlot { return slotPool.Get().(*callSlot) }
-
-//ips:hotpath
-func putSlot(s *callSlot) { slotPool.Put(s) }
-
-// timerPool recycles call-timeout timers; a timer goes back Reset-able
-// (stopped and drained).
-var timerPool sync.Pool
-
-//ips:hotpath-trust pool misses construct a timer by design; steady-state Get just resets
-func getTimer(d time.Duration) *time.Timer {
-	if t, ok := timerPool.Get().(*time.Timer); ok {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-//ips:hotpath
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
+var callPool = sync.Pool{New: func() any {
+	call := &Call{done: make(chan struct{}, 1)}
+	call.timer = time.AfterFunc(time.Hour, call.expire)
+	call.timer.Stop()
+	return call
+}}
 
 // NewClient creates a client for addr; connections are dialed lazily.
 func NewClient(addr string) *Client {
@@ -109,7 +110,7 @@ func (c *Client) Addr() string { return c.addr }
 // Call issues method with payload and waits for the response, applying the
 // default call timeout.
 func (c *Client) Call(method string, payload []byte) ([]byte, error) {
-	return c.call(context.Background(), method, payload, c.CallTimeout)
+	return c.call(context.Background(), method, payload, nil, c.CallTimeout)
 }
 
 // CallCtx is Call with a request context. When ctx carries a sampled
@@ -117,117 +118,225 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 // the trace and ships its spans back, which are grafted under this
 // call's rpc.roundtrip span.
 func (c *Client) CallCtx(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	return c.call(ctx, method, payload, c.CallTimeout)
+	return c.call(ctx, method, payload, nil, c.CallTimeout)
 }
 
 // CallTimeoutT issues a call with an explicit timeout.
 func (c *Client) CallTimeoutT(method string, payload []byte, timeout time.Duration) ([]byte, error) {
-	return c.call(context.Background(), method, payload, timeout)
+	return c.call(context.Background(), method, payload, nil, timeout)
 }
 
 // CallAppendCtx issues method and appends the response payload into dst,
 // returning the extended slice. With a caller-reused dst the whole
 // roundtrip (frame encode, response read, rendezvous) allocates nothing
-// in the steady state. A nil dst falls back to handing the caller a
-// freshly owned slice.
+// in the steady state. A nil dst hands the caller a freshly owned slice.
 func (c *Client) CallAppendCtx(ctx context.Context, method string, payload, dst []byte) ([]byte, error) {
-	return c.callAppend(ctx, method, payload, dst, c.CallTimeout)
+	return c.call(ctx, method, payload, dst, c.CallTimeout)
+}
+
+// call is the blocking form of the one call path: start, wait, finish.
+//
+//ips:hotpath
+func (c *Client) call(ctx context.Context, method string, payload, dst []byte, timeout time.Duration) ([]byte, error) {
+	call, err := c.start(ctx, method, payload, timeout)
+	if err != nil {
+		return dst, err
+	}
+	<-call.done
+	return call.Finish(dst)
+}
+
+// Start issues method asynchronously under the default call timeout and
+// returns the in-flight Call; the payload is copied into the connection's
+// write buffer before Start returns. A non-nil error means nothing was
+// sent and there is no Call to finish. Everything that happens later —
+// the response, a remote error, the timeout, a write error found by
+// another caller's flush, the connection's death — arrives through Done.
+//
+//ips:hotpath
+func (c *Client) Start(ctx context.Context, method string, payload []byte) (*Call, error) {
+	return c.start(ctx, method, payload, c.CallTimeout)
 }
 
 //ips:hotpath
-func (c *Client) call(ctx context.Context, method string, payload []byte, timeout time.Duration) ([]byte, error) {
-	return c.callAppend(ctx, method, payload, nil, timeout)
-}
-
-//ips:hotpath
-func (c *Client) callAppend(ctx context.Context, method string, payload, dst []byte, timeout time.Duration) ([]byte, error) {
-	tr := trace.FromContext(ctx)
+func (c *Client) start(ctx context.Context, method string, payload []byte, timeout time.Duration) (*Call, error) {
 	cc, err := c.pick(ctx)
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
-	seq := cc.seq.Add(1)
-	slot := getSlot()
-	cc.mu.Lock()
-	//ipslint:ignore hotpathalloc the pending map reuses cells freed by completed calls once the in-flight high-water mark is reached
-	cc.pending[seq] = slot
-	cc.mu.Unlock()
-
-	rtSpan := trace.StartLeaf(ctx, trace.StageRPCRoundtrip)
-	if rtSpan.Active() {
-		err = cc.cw.sendTracedRequest(seq, method, tr.ID, rtSpan.ID(), payload)
-	} else {
-		err = cc.cw.send(seq, kindRequest, method, payload)
+	//ipslint:ignore hotpathalloc sync.Pool misses allocate a fresh call by design; steady-state Get reuses
+	call := callPool.Get().(*Call)
+	call.c, call.cc, call.seq, call.method = c, cc, cc.seq.Add(1), method
+	call.tr = trace.FromContext(ctx)
+	call.span = trace.StartLeaf(ctx, trace.StageRPCRoundtrip)
+	// Other calls in flight: their callers are about to send again, so a
+	// yield before the write lets this frame share it with theirs.
+	others := c.inflight.Add(1) > 1
+	if !cc.register(call) {
+		call.span.EndErr(ErrClosed)
+		call.release()
+		return nil, ErrClosed
 	}
-	if err != nil {
-		rtSpan.EndErr(err)
-		//ipslint:ignore hotpathalloc connection teardown is terminal, not steady state
-		cc.fail(err)
-		//ipslint:ignore hotpathalloc connection teardown is terminal, not steady state
-		c.drop(cc)
-		// fail delivered an error into every pending slot, including
-		// ours; drain it so the slot can recycle.
-		<-slot.ch
-		putSlot(slot)
-		return dst, err
-	}
-
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
 	if timeout > 0 {
-		timer = getTimer(timeout)
-		timeoutCh = timer.C
+		call.timer.Reset(timeout)
+		call.armed = true
 	}
-	select {
-	case res := <-slot.ch:
-		if timer != nil {
-			putTimer(timer)
-		}
-		rtSpan.EndErr(res.err)
-		if res.blob != nil && tr != nil {
-			//ipslint:ignore hotpathalloc span grafting is the sampled path
-			if spans, derr := trace.DecodeSpans(res.blob); derr == nil {
-				//ipslint:ignore hotpathalloc span grafting is the sampled path
-				tr.Graft(spans, rtSpan.ID())
-			}
-		}
-		if res.err != nil {
-			putSlot(slot)
-			return dst, res.err
-		}
-		if dst != nil {
-			dst = append(dst, res.payload...)
-			putSlot(slot)
-			return dst, nil
-		}
-		// Legacy callers own the returned slice: hand over the slot's
-		// buffer and let the pool grow a fresh one next time.
-		out := res.payload
-		slot.buf = nil
-		putSlot(slot)
-		return out, nil
-	case <-timeoutCh:
-		cc.mu.Lock()
-		delete(cc.pending, seq)
-		cc.mu.Unlock()
-		// The timer fired and was drained by the select; it can recycle
-		// directly. The slot cannot: a late response may still land in it.
-		timerPool.Put(timer)
-		rtSpan.EndErr(ErrTimeout)
-		return dst, ErrTimeout
+	f := outFrame{seq: call.seq, kind: kindRequest, method: method, payload: payload}
+	if call.span.Active() {
+		f.kind, f.traceID, f.parentSpan = kindRequestTraced, call.tr.ID, call.span.ID()
 	}
+	if err := cc.cw.push(f, others); err != nil {
+		// Nothing was queued: the frame is too large, or the connection
+		// is already failing. If teardown (or the timer) took the call
+		// first, its signal is on the way; consume it so the call can
+		// recycle.
+		if cc.take(call.seq) == nil {
+			<-call.done
+		}
+		call.span.EndErr(err)
+		call.release()
+		return nil, err
+	}
+	return call, nil
 }
 
-// pick returns a live pooled connection, dialing if needed. Dials happen
-// OUTSIDE c.mu — holding the lock across a dial would let one unreachable
-// address head-of-line block every concurrent call on this client for up
-// to DialTimeout. At most one dial is in flight per client (singleflight):
-// when live connections exist the pool tops up in the background and the
-// call proceeds on an existing connection; only a caller with no live
-// connection at all waits for the dial's outcome.
+// Done is signalled exactly once, when the call's outcome is in.
 //
-//ips:hotpath-trust dialing and pool top-up allocate by design; the steady state indexes an existing live connection under the lock
+//ips:hotpath
+func (call *Call) Done() <-chan struct{} { return call.done }
+
+// Finish collects the outcome of a call whose Done has fired: the
+// response payload is appended to dst (a nil dst yields a freshly owned
+// copy), server spans of a traced call are grafted into the caller's
+// trace, and the Call goes back to the pool.
+//
+//ips:hotpath
+func (call *Call) Finish(dst []byte) ([]byte, error) {
+	err := call.err
+	call.span.EndErr(err)
+	if call.hasBlob && call.tr != nil {
+		//ipslint:ignore hotpathalloc span grafting is the sampled path
+		if spans, derr := trace.DecodeSpans(call.blob); derr == nil {
+			//ipslint:ignore hotpathalloc span grafting is the sampled path
+			call.tr.Graft(spans, call.span.ID())
+		}
+	}
+	if err == nil {
+		//ipslint:ignore hotpathalloc appending into a caller-reused dst does not allocate; a nil dst asks for a fresh copy
+		dst = append(dst, call.buf...)
+	}
+	call.release()
+	return dst, err
+}
+
+// release disarms the timer and returns the call to the pool. A call
+// whose timer already fired is not reused: expire may still be running
+// against it.
+//
+//ips:hotpath
+func (call *Call) release() {
+	call.c.inflight.Add(-1)
+	if call.armed {
+		call.armed = false
+		if !call.timer.Stop() {
+			return
+		}
+	}
+	call.c, call.cc, call.tr, call.span = nil, nil, nil, trace.SpanRef{}
+	call.hasBlob, call.err = false, nil
+	callPool.Put(call)
+}
+
+// expire is the call's timer callback: if the call is still pending, it
+// completes with ErrTimeout; if the response (or teardown) took it first,
+// there is nothing to do.
+func (call *Call) expire() {
+	if call.cc.take(call.seq) == nil {
+		return
+	}
+	call.err = ErrTimeout
+	call.done <- struct{}{}
+}
+
+// complete records a response frame as the call's outcome and signals
+// the caller. The frame aliases the read buffer: the payload is copied
+// into the call's own storage.
+//
+//ips:hotpath
+func (call *Call) complete(fr frame) {
+	switch fr.kind {
+	case kindResponse:
+		call.buf = append(call.buf[:0], fr.payload...)
+	case kindResponseTraced:
+		call.buf = append(call.buf[:0], fr.payload...)
+		call.blob = append(call.blob[:0], fr.blob...)
+		call.hasBlob = true
+	case kindError:
+		//ipslint:ignore hotpathalloc error responses materialize a message; errors are off the steady state
+		call.err = &RemoteError{Method: call.method, Msg: string(fr.payload)}
+	default:
+		call.err = errUnexpectedKind
+	}
+	call.done <- struct{}{}
+}
+
+var errUnexpectedKind = errors.New("rpc: unexpected frame kind in response")
+
+// register enters call in the pending table. It reports false when the
+// connection is already dead: fail sets dead before it sweeps the table
+// under this lock, so a call registered while dead reads false here is
+// certain to be swept.
+//
+//ips:hotpath
+func (cc *clientConn) register(call *Call) bool {
+	cc.mu.Lock()
+	ok := !cc.dead.Load()
+	if ok {
+		//ipslint:ignore hotpathalloc the pending map reuses cells freed by completed calls once the in-flight high-water mark is reached
+		cc.pending[call.seq] = call
+	}
+	cc.mu.Unlock()
+	return ok
+}
+
+// take removes and returns the pending call with sequence ID seq, nil if
+// another party already took it. Whoever takes a call owns its outcome.
+//
+//ips:hotpath
+func (cc *clientConn) take(seq uint64) *Call {
+	cc.mu.Lock()
+	call := cc.pending[seq]
+	if call != nil {
+		delete(cc.pending, seq)
+	}
+	cc.mu.Unlock()
+	return call
+}
+
+// pick returns a live pooled connection, dialing if needed. The steady
+// state — a full pool of live connections — is one load of the published
+// snapshot. Everything else takes pickSlow.
+//
+//ips:hotpath
 func (c *Client) pick(ctx context.Context) (*clientConn, error) {
+	if live := c.live.Load(); live != nil {
+		cc := (*live)[c.next.Add(1)%uint64(len(*live))]
+		if !cc.dead.Load() {
+			return cc, nil
+		}
+	}
+	//ipslint:ignore hotpathalloc dialing and pool top-up allocate by design; the steady state returned above
+	return c.pickSlow(ctx)
+}
+
+// pickSlow prunes dead connections, tops the pool up and republishes the
+// snapshot. Dials happen OUTSIDE c.mu — holding the lock across a dial
+// would let one unreachable address head-of-line block every concurrent
+// call on this client for up to DialTimeout. At most one dial is in flight
+// per client (singleflight): when live connections exist the pool tops up
+// in the background and the call proceeds on an existing connection; only
+// a caller with no live connection at all waits for the dial's outcome.
+func (c *Client) pickSlow(ctx context.Context) (*clientConn, error) {
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -242,13 +351,14 @@ func (c *Client) pick(ctx context.Context) (*clientConn, error) {
 			}
 		}
 		c.conns = live
+		c.publishLocked()
 		startDial := c.dialing == 0 && len(c.conns) < c.PoolSize
 		if startDial {
 			c.dialing++
 			c.dialDone = make(chan struct{})
 		}
 		if len(c.conns) > 0 {
-			cc := c.conns[int(c.next.Add(1))%len(c.conns)]
+			cc := c.conns[c.next.Add(1)%uint64(len(c.conns))]
 			c.mu.Unlock()
 			if startDial {
 				go c.dial() // top up the pool without blocking this call
@@ -277,6 +387,17 @@ func (c *Client) pick(ctx context.Context) (*clientConn, error) {
 	}
 }
 
+// publishLocked refreshes the snapshot pick's fast path reads: a copy of
+// the pool while it is full, nil otherwise. Caller holds c.mu.
+func (c *Client) publishLocked() {
+	if c.closed || len(c.conns) == 0 || len(c.conns) < c.PoolSize {
+		c.live.Store(nil)
+		return
+	}
+	snap := append([]*clientConn(nil), c.conns...)
+	c.live.Store(&snap)
+}
+
 // dial establishes one new pooled connection and installs it; it must be
 // entered with c.dialing already claimed. Waiters blocked in pick are woken
 // whether the dial succeeded or not.
@@ -301,25 +422,14 @@ func (c *Client) dial() error {
 			}
 			return nil
 		}
-		cc := &clientConn{conn: conn, pending: make(map[uint64]*callSlot)}
-		cc.cw.w = conn
+		cc := &clientConn{conn: conn, pending: make(map[uint64]*Call)}
+		cc.cw = newConnWriter(conn, cc.fail)
 		go cc.readLoop()
 		c.conns = append(c.conns, cc)
+		c.publishLocked()
 	}
 	c.mu.Unlock()
 	return err
-}
-
-func (c *Client) drop(dead *clientConn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.conns[:0]
-	for _, cc := range c.conns {
-		if cc != dead {
-			out = append(out, cc)
-		}
-	}
-	c.conns = out
 }
 
 // Close closes all pooled connections; outstanding calls fail.
@@ -327,6 +437,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
+	c.live.Store(nil)
 	for _, cc := range c.conns {
 		cc.fail(ErrClosed)
 	}
@@ -336,54 +447,41 @@ func (c *Client) Close() error {
 
 //ips:hotpath
 func (cc *clientConn) readLoop() {
-	var rbuf []byte
+	fr := frameReader{r: cc.conn}
 	for {
-		fr, buf, err := readFrameReuse(cc.conn, rbuf)
-		rbuf = buf
+		f, err := fr.next()
 		if err != nil {
 			//ipslint:ignore hotpathalloc connection teardown is terminal, not steady state
 			cc.fail(err)
 			return
 		}
-		cc.mu.Lock()
-		slot, ok := cc.pending[fr.seq]
-		delete(cc.pending, fr.seq)
-		cc.mu.Unlock()
-		if !ok {
-			if fr.kind == kindStreamData || fr.kind == kindStreamClose || fr.kind == kindError {
-				//ipslint:ignore hotpathalloc stream delivery copies the pushed frame out of the reused buffer; streams are off the pooled-call steady state
-				if cc.handleStreamFrame(fr) {
-					continue
-				}
-			}
-			continue // timed-out call's late response
+		if call := cc.take(f.seq); call != nil {
+			call.complete(f)
+			continue
 		}
-		// The frame aliases the reusable read buffer: copy the response
-		// into the slot's owned storage before handing it over.
-		switch fr.kind {
-		case kindResponse:
-			slot.buf = append(slot.buf[:0], fr.payload...)
-			slot.ch <- result{payload: slot.buf}
-		case kindResponseTraced:
-			slot.buf = append(slot.buf[:0], fr.payload...)
-			slot.blob = append(slot.blob[:0], fr.blob...)
-			slot.ch <- result{payload: slot.buf, blob: slot.blob}
-		case kindError:
-			//ipslint:ignore hotpathalloc error responses materialize a message; errors are off the steady state
-			slot.ch <- result{err: &RemoteError{Msg: string(fr.payload)}}
+		// No pending call: a pushed stream frame, or the late response of
+		// a call that timed out (dropped).
+		if f.kind == kindStreamData || f.kind == kindStreamClose || f.kind == kindError {
+			//ipslint:ignore hotpathalloc stream delivery copies the pushed frame out of the read buffer; streams are off the pooled-call steady state
+			cc.handleStreamFrame(f)
 		}
 	}
 }
 
-// fail marks the connection dead and fails all pending calls.
+// fail marks the connection dead and fails all pending calls and open
+// streams with err. It is the single teardown path: the read loop's
+// error, a write error found by any flush leader, and Client.Close all
+// end here, and every call registered on the connection — whether or not
+// its own queue saw an error — hears about it through Done.
 func (cc *clientConn) fail(err error) {
 	if cc.dead.Swap(true) {
 		return
 	}
 	cc.conn.Close()
 	cc.mu.Lock()
-	for seq, slot := range cc.pending {
-		slot.ch <- result{err: err}
+	for seq, call := range cc.pending {
+		call.err = err
+		call.done <- struct{}{}
 		delete(cc.pending, seq)
 	}
 	streams := cc.streams

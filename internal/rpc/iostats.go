@@ -7,7 +7,11 @@ import "sync/atomic"
 // its full on-wire size (length prefix included). They exist so
 // experiments can attribute byte savings to an encoding change (e.g.
 // batch v2's shared-structure responses) using what actually hit the
-// socket, not what an encoder said it produced.
+// socket, not what an encoder said it produced. Writes and Reads count
+// the syscalls that carried those frames: FramesWritten/Writes is the
+// number an operator reads to see batching happen. The counters are
+// touched once per syscall, not once per frame, and always before the
+// frames they count can complete a call.
 //
 // The counters are global rather than per-connection because the bench
 // harness runs client and server in one process and wants one number;
@@ -18,6 +22,8 @@ var (
 	ioBytesRead     atomic.Uint64
 	ioFramesWritten atomic.Uint64
 	ioFramesRead    atomic.Uint64
+	ioWrites        atomic.Uint64
+	ioReads         atomic.Uint64
 )
 
 // IOStatsSnapshot is one reading of the process-wide wire counters.
@@ -26,6 +32,8 @@ type IOStatsSnapshot struct {
 	BytesRead     uint64
 	FramesWritten uint64
 	FramesRead    uint64
+	Writes        uint64 // write syscalls
+	Reads         uint64 // read syscalls
 }
 
 // IOStats returns the current wire totals. Subtract two snapshots to
@@ -36,6 +44,8 @@ func IOStats() IOStatsSnapshot {
 		BytesRead:     ioBytesRead.Load(),
 		FramesWritten: ioFramesWritten.Load(),
 		FramesRead:    ioFramesRead.Load(),
+		Writes:        ioWrites.Load(),
+		Reads:         ioReads.Load(),
 	}
 }
 
@@ -46,17 +56,28 @@ func (s IOStatsSnapshot) Sub(prev IOStatsSnapshot) IOStatsSnapshot {
 		BytesRead:     s.BytesRead - prev.BytesRead,
 		FramesWritten: s.FramesWritten - prev.FramesWritten,
 		FramesRead:    s.FramesRead - prev.FramesRead,
+		Writes:        s.Writes - prev.Writes,
+		Reads:         s.Reads - prev.Reads,
 	}
 }
 
+// noteWrite counts one write syscall carrying frames frames of bytes
+// bytes in total.
+//
 //ips:hotpath
-func noteWrite(n int) {
-	ioBytesWritten.Add(uint64(n))
-	ioFramesWritten.Add(1)
+func noteWrite(frames, bytes int) {
+	ioBytesWritten.Add(uint64(bytes))
+	ioFramesWritten.Add(uint64(frames))
+	ioWrites.Add(1)
 }
 
+// noteRead counts reads read syscalls and the frames they completed.
+//
 //ips:hotpath
-func noteRead(n int) {
-	ioBytesRead.Add(uint64(n))
-	ioFramesRead.Add(1)
+func noteRead(frames, bytes, reads int) {
+	if frames > 0 {
+		ioBytesRead.Add(uint64(bytes))
+		ioFramesRead.Add(uint64(frames))
+	}
+	ioReads.Add(uint64(reads))
 }

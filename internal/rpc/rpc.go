@@ -28,9 +28,28 @@
 // See stream.go for the client/server stream APIs.
 //
 // A single connection multiplexes any number of in-flight requests:
-// responses match requests by sequence ID, so a slow call does not block
-// the calls behind it (the server handles each frame on its own
-// goroutine). Clients pool connections per address.
+// responses match requests by sequence ID. Clients pool connections per
+// address.
+//
+// Every connection, on both sides, is read through one frameReader and
+// written through one connWriter (transport.go). The reader fills a fixed
+// buffer with one Read per wake-up and hands out every complete frame it
+// holds before reading again. The writer separates queueing a frame from
+// flushing: flush elects a leader that writes everything queued in one
+// syscall, and a client call that starts while other calls of its client
+// are in flight has its leader yield once before writing a small batch,
+// so that the other runnable callers join it. Pipelined calls therefore
+// form batches — N frames per write and per read in both
+// directions — without any caller waiting on a timer.
+//
+// The server runs fast handlers (HandleFast) inline on the connection's
+// read loop and queues their responses; it flushes when the reader has no
+// complete frame left, before running the next buffered request once the
+// oldest unflushed response has been held for flushAge, and from a timer
+// when a handler outlasts flushAge in front of one. Everything
+// else — slow handlers, traced or fault-delayed requests, streams — runs
+// on its own goroutine and queues and flushes its response through the
+// same writer, so a slow call does not block the calls behind it.
 package rpc
 
 import (
@@ -38,7 +57,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -240,6 +258,65 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// flushAge is how long an inline response may stay queued while the
+// server's read loop runs further buffered requests: about one write
+// syscall's worth, so a run of microsecond handlers shares a write but a
+// response does not wait out a slow handler, whether that one ran before
+// it or runs after it.
+const flushAge = 20 * time.Microsecond
+
+// heldResponses is the read loop's account of the inline responses it has
+// queued and not flushed. The loop flushes them itself when it runs out of
+// buffered requests and, between two handlers, once the oldest is older
+// than flushAge. That covers a slow handler followed by fast ones; for the
+// opposite order — a hot read's response held while a scan or a cold miss
+// runs behind it — the loop arms a watchdog before it runs a handler in
+// front of held responses, and the timer flushes them from its own
+// goroutine when flushAge is up and the handler still has not returned.
+// (It needs a processor to run on: with every P busy the bound stretches
+// to the handler's end, where the loop flushes.) A single request per
+// wake-up, the serial case, never touches the timer.
+type heldResponses struct {
+	cw *connWriter
+	// since is when the request behind the oldest held response started
+	// running; zero while nothing is held.
+	since    time.Time
+	watchdog *time.Timer
+	armed    bool
+}
+
+// flush writes what is held and disarms the watchdog.
+func (h *heldResponses) flush() {
+	h.cw.flush(false)
+	h.since = time.Time{}
+	h.disarm()
+}
+
+func (h *heldResponses) disarm() {
+	if h.armed {
+		h.watchdog.Stop()
+		h.armed = false
+	}
+}
+
+// beforeHandler is called with the current time before a request runs.
+func (h *heldResponses) beforeHandler(now time.Time) {
+	if h.since.IsZero() {
+		return
+	}
+	age := now.Sub(h.since)
+	switch {
+	case age > flushAge:
+		h.flush()
+	case h.armed:
+	case h.watchdog == nil:
+		h.watchdog, h.armed = time.AfterFunc(flushAge-age, func() { h.cw.flush(false) }), true
+	default:
+		h.watchdog.Reset(flushAge - age)
+		h.armed = true
+	}
+}
+
 //ips:hotpath-trust the slow path deep-copies frames and spawns goroutines by design; the fast path is checked in dispatchFast
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -249,67 +326,75 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	cw := &connWriter{w: conn}
+	// A write error closes the connection, which ends this read loop.
+	cw := newConnWriter(conn, func(error) { conn.Close() })
 	cs := &connStreams{}
 	defer cs.cancelAll() // connection death cancels its open streams
-	var rbuf, respBuf []byte
+	fr := frameReader{r: conn}
+	var respBuf []byte
+	held := heldResponses{cw: cw}
+	defer held.disarm()
 	for {
-		fr, buf, err := readFrameReuse(conn, rbuf)
-		rbuf = buf
+		// next blocks only when no complete frame is buffered, and then
+		// nothing is held: every pass below ends with a flush in that case.
+		f, err := fr.next()
 		if err != nil {
 			return
 		}
-		if fr.kind == kindStreamOpen {
+		switch f.kind {
+		case kindStreamOpen:
 			// The payload escapes to the handler goroutine; detach it
-			// from the reusable read buffer.
-			s.startStream(cw, cs, fr.seq, string(fr.method), append([]byte(nil), fr.payload...))
-			continue
-		}
-		if fr.kind == kindStreamClose {
-			cs.cancel(fr.seq)
-			continue
-		}
-		if fr.kind != kindRequest && fr.kind != kindRequestTraced {
-			continue // ignore stray frames
-		}
-		s.mu.RLock()
-		h := s.handlers[string(fr.method)] // no-copy map lookup
-		fh := s.fast[string(fr.method)]
-		s.mu.RUnlock()
-		// Inline fast path: the payload aliases the reusable read buffer,
-		// which is safe only because the handler completes before the
-		// next readFrameReuse. Sampled requests fall back to the
-		// goroutine path (span collection allocates anyway).
-		forceTrace := false
-		if fh != nil && fr.kind == kindRequest && s.delay.Load() == nil {
-			done, rb := s.dispatchFast(cw, fr, fh, respBuf)
-			respBuf = rb
-			if done {
-				continue
+			// from the read buffer.
+			s.startStream(cw, cs, f.seq, string(f.method), append([]byte(nil), f.payload...))
+		case kindStreamClose:
+			cs.cancel(f.seq)
+		case kindRequest, kindRequestTraced:
+			now := time.Now()
+			held.beforeHandler(now)
+			s.mu.RLock()
+			h := s.handlers[string(f.method)] // no-copy map lookup
+			fh := s.fast[string(f.method)]
+			s.mu.RUnlock()
+			// Inline fast path: the payload aliases the read buffer, which
+			// is safe only because the handler completes before the next
+			// frame is taken. Sampled requests fall back to the goroutine
+			// path (span collection allocates anyway).
+			tryFast := fh != nil && f.kind == kindRequest && s.delay.Load() == nil
+			inline := false
+			if tryFast {
+				inline, respBuf = s.dispatchFast(cw, f, fh, respBuf)
 			}
-			// dispatchFast consumed a winning sampling draw; make the
-			// goroutine path honor it.
-			forceTrace = true
+			if inline {
+				if held.since.IsZero() {
+					held.since = now
+				}
+				break
+			}
+			// dispatchFast declines only by winning the sampling draw; the
+			// goroutine path honors it. The frame escapes this loop, so
+			// detach it from the read buffer.
+			forceTrace := tryFast
+			f.method = append([]byte(nil), f.method...)
+			f.payload = append([]byte(nil), f.payload...)
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.dispatch(cw, f, h, forceTrace)
+			}()
+		} // anything else is a stray frame: ignored
+		if !held.since.IsZero() && !fr.buffered() {
+			held.flush()
 		}
-		// Slow path: the frame escapes this loop, so detach it from the
-		// reusable buffer.
-		fr.method = append([]byte(nil), fr.method...)
-		fr.payload = append([]byte(nil), fr.payload...)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.dispatch(cw, fr, h, forceTrace)
-		}()
 	}
 }
 
 // dispatchFast runs a fast handler inline, appending its response into
-// the connection's reusable response buffer and writing the frame
-// through the reused write buffer. It reports false — without consuming
-// the request — when the server-side sampling draw wins, sending the
-// request down the goroutine path that knows how to collect spans. The
-// returned slice is the (possibly grown) response buffer for the
-// caller's next request.
+// the connection's reusable response buffer and queueing the frame on the
+// connection's writer — the read loop decides when to flush. It reports
+// false — without consuming the request — when the server-side sampling
+// draw wins, sending the request down the goroutine path that knows how
+// to collect spans. The returned slice is the (possibly grown) response
+// buffer for the caller's next request.
 //
 //ips:hotpath
 func (s *Server) dispatchFast(cw *connWriter, fr frame, h FastHandler, respBuf []byte) (bool, []byte) {
@@ -328,10 +413,10 @@ func (s *Server) dispatchFast(cw *connWriter, fr frame, h FastHandler, respBuf [
 	}
 	if herr != nil {
 		//ipslint:ignore hotpathalloc error responses materialize the message; errors are off the steady state
-		_ = cw.send(fr.seq, kindError, "", []byte(herr.Error()))
+		_ = cw.queue(outFrame{seq: fr.seq, kind: kindError, payload: []byte(herr.Error())})
 		return true, respBuf
 	}
-	_ = cw.send(fr.seq, kindResponse, "", resp)
+	_ = cw.queue(outFrame{seq: fr.seq, kind: kindResponse, payload: resp})
 	return true, respBuf
 }
 
@@ -400,15 +485,16 @@ func (s *Server) dispatch(cw *connWriter, fr frame, h HandlerCtx, forceTrace boo
 			return // drop the response: client times out
 		}
 	}
-	if herr != nil {
-		_ = cw.send(fr.seq, kindError, "", []byte(herr.Error()))
-		return
+	// A write error tears the connection down through the writer; there is
+	// nobody to report it to here.
+	switch {
+	case herr != nil:
+		_ = cw.push(outFrame{seq: fr.seq, kind: kindError, payload: []byte(herr.Error())}, false)
+	case traced:
+		_ = cw.push(outFrame{seq: fr.seq, kind: kindResponseTraced, blob: trace.EncodeSpans(tr.Spans()), payload: resp}, false)
+	default:
+		_ = cw.push(outFrame{seq: fr.seq, kind: kindResponse, payload: resp}, false)
 	}
-	if traced {
-		_ = cw.sendTraced(fr.seq, trace.EncodeSpans(tr.Spans()), resp)
-		return
-	}
-	_ = cw.send(fr.seq, kindResponse, "", resp)
 }
 
 // pseudoRand maps a sequence number to [0,1) deterministically, so drop
@@ -433,66 +519,62 @@ type frame struct {
 	payload    []byte
 }
 
-// appendFrame serializes a request/response/error frame into dst's
-// storage and returns the extended slice. Callers that reuse dst (the
-// per-connection write buffers) pay zero allocations per frame in the
-// steady state.
+// outFrame is one frame to encode: the header fields its kind carries,
+// and the payload.
+type outFrame struct {
+	seq        uint64
+	kind       byte
+	method     string // requests, traced requests and stream opens
+	traceID    uint64 // traced requests: the caller's trace
+	parentSpan uint64 // traced requests: the span the roundtrip runs under
+	blob       []byte // traced responses: encoded server spans
+	payload    []byte
+}
+
+// minFrameLen is the shortest legal frame body: sequence ID and kind.
+const minFrameLen = 8 + 1
+
+// appendFrame serializes f into dst's storage and returns the extended
+// slice; dst is returned unchanged with ErrFrameTooLarge when f does not
+// fit MaxFrameSize. Callers that reuse dst (the per-connection write
+// buffers) pay zero allocations per frame in the steady state. A traced
+// response whose span set does not fit degrades to an untraced response
+// rather than poison the connection.
 //
 //ips:hotpath
-func appendFrame(dst []byte, seq uint64, kind byte, method string, payload []byte) ([]byte, error) {
-	frameLen := 8 + 1 + len(payload)
-	if kind == kindRequest || kind == kindStreamOpen {
-		frameLen += 2 + len(method)
+func appendFrame(dst []byte, f outFrame) ([]byte, error) {
+	frameLen := minFrameLen + len(f.payload)
+	switch f.kind {
+	case kindRequest, kindStreamOpen:
+		frameLen += 2 + len(f.method)
+	case kindRequestTraced:
+		frameLen += 2 + len(f.method) + 16
+	case kindResponseTraced:
+		if frameLen+4+len(f.blob) > MaxFrameSize {
+			f.kind = kindResponse
+		} else {
+			frameLen += 4 + len(f.blob)
+		}
 	}
 	if frameLen > MaxFrameSize {
 		return dst, ErrFrameTooLarge
 	}
 	dst = appendUint32(dst, uint32(frameLen))
-	dst = appendUint64(dst, seq)
-	dst = append(dst, kind)
-	if kind == kindRequest || kind == kindStreamOpen {
-		dst = appendUint16(dst, uint16(len(method)))
-		dst = append(dst, method...)
+	dst = appendUint64(dst, f.seq)
+	dst = append(dst, f.kind)
+	switch f.kind {
+	case kindRequest, kindStreamOpen, kindRequestTraced:
+		dst = appendUint16(dst, uint16(len(f.method)))
+		dst = append(dst, f.method...)
+		if f.kind == kindRequestTraced {
+			dst = appendUint64(dst, f.traceID)
+			dst = appendUint64(dst, f.parentSpan)
+		}
+	case kindResponseTraced:
+		dst = appendUint32(dst, uint32(len(f.blob)))
+		dst = append(dst, f.blob...)
 	}
-	dst = append(dst, payload...)
-	return dst, nil
-}
-
-// appendTracedRequest serializes a kindRequestTraced frame carrying the
-// caller's trace ID and the span ID the roundtrip runs under.
-//
-//ips:hotpath
-func appendTracedRequest(dst []byte, seq uint64, method string, traceID, parentSpan uint64, payload []byte) ([]byte, error) {
-	frameLen := 8 + 1 + 2 + len(method) + 16 + len(payload)
-	if frameLen > MaxFrameSize {
-		return dst, ErrFrameTooLarge
-	}
-	dst = appendUint32(dst, uint32(frameLen))
-	dst = appendUint64(dst, seq)
-	dst = append(dst, kindRequestTraced)
-	dst = appendUint16(dst, uint16(len(method)))
-	dst = append(dst, method...)
-	dst = appendUint64(dst, traceID)
-	dst = appendUint64(dst, parentSpan)
-	dst = append(dst, payload...)
-	return dst, nil
-}
-
-// appendTracedResponse serializes a kindResponseTraced frame: the span
-// blob, then the payload. Oversized span sets degrade to an untraced
-// response rather than poison the connection.
-func appendTracedResponse(dst []byte, seq uint64, blob, payload []byte) ([]byte, error) {
-	frameLen := 8 + 1 + 4 + len(blob) + len(payload)
-	if frameLen > MaxFrameSize {
-		return appendFrame(dst, seq, kindResponse, "", payload)
-	}
-	dst = appendUint32(dst, uint32(frameLen))
-	dst = appendUint64(dst, seq)
-	dst = append(dst, kindResponseTraced)
-	dst = appendUint32(dst, uint32(len(blob)))
-	dst = append(dst, blob...)
-	dst = append(dst, payload...)
-	return dst, nil
+	return append(dst, f.payload...), nil
 }
 
 //ips:hotpath
@@ -511,79 +593,13 @@ func appendUint64(dst []byte, v uint64) []byte {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-// connWriter serializes response frames onto one connection through a
-// reused write buffer: the buffer is encoded and flushed under the mutex,
-// so steady-state responses allocate nothing.
-type connWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
-}
-
-//ips:hotpath
-func (cw *connWriter) send(seq uint64, kind byte, method string, payload []byte) error {
-	cw.mu.Lock()
-	buf, err := appendFrame(cw.buf[:0], seq, kind, method, payload)
-	cw.buf = buf
-	if err == nil {
-		//ipslint:ignore hotpathalloc net.Conn.Write is an interface call into the runtime socket, not an allocation site we control
-		_, err = cw.w.Write(buf)
-		noteWrite(len(buf))
-	}
-	cw.mu.Unlock()
-	return err
-}
-
-// sendTracedRequest writes a kindRequestTraced frame through the reused
-// write buffer. Traced requests are the sampled path, but the encode
-// itself stays allocation-free.
-//
-//ips:hotpath
-func (cw *connWriter) sendTracedRequest(seq uint64, method string, traceID, parentSpan uint64, payload []byte) error {
-	cw.mu.Lock()
-	buf, err := appendTracedRequest(cw.buf[:0], seq, method, traceID, parentSpan, payload)
-	cw.buf = buf
-	if err == nil {
-		//ipslint:ignore hotpathalloc net.Conn.Write is an interface call into the runtime socket, not an allocation site we control
-		_, err = cw.w.Write(buf)
-		noteWrite(len(buf))
-	}
-	cw.mu.Unlock()
-	return err
-}
-
-func (cw *connWriter) sendTraced(seq uint64, blob, payload []byte) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	buf, err := appendTracedResponse(cw.buf[:0], seq, blob, payload)
-	cw.buf = buf
-	if err != nil {
-		return err
-	}
-	_, err = cw.w.Write(buf)
-	noteWrite(len(buf))
-	return err
-}
-
-// writeFrame is the allocating one-shot form, kept for callers without a
-// reusable buffer.
-func writeFrame(w io.Writer, seq uint64, kind byte, method string, payload []byte) error {
-	buf, err := appendFrame(nil, seq, kind, method, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	noteWrite(len(buf))
-	return err
-}
-
 // parseFrame decodes a frame from raw (the bytes after the length
 // prefix). The frame's method, blob, and payload alias raw.
 //
 //ips:hotpath
 func parseFrame(raw []byte) (frame, error) {
 	var fr frame
-	if len(raw) < 9 {
+	if len(raw) < minFrameLen {
 		return fr, errTruncatedHeader
 	}
 	fr.seq = binary.LittleEndian.Uint64(raw)
@@ -635,46 +651,3 @@ var (
 	errTruncatedBlobLen   = errors.New("rpc: truncated span blob length")
 	errTruncatedBlob      = errors.New("rpc: truncated span blob")
 )
-
-// readFrameReuse reads one frame, reusing buf for the body when it has
-// capacity; it returns the frame (aliasing the returned buffer) and the
-// possibly-grown buffer for the caller's next read. Single-reader use
-// only: the previous frame's contents are dead once this is called.
-//
-//ips:hotpath
-func readFrameReuse(r io.Reader, buf []byte) (frame, []byte, error) {
-	// The length prefix reads into the reusable buffer too: a local
-	// array would escape through the io.Reader interface call and cost
-	// one heap allocation per frame.
-	if cap(buf) < 4 {
-		//ipslint:ignore hotpathalloc the first read on a connection sizes its buffer; reuse amortizes it away
-		buf = make([]byte, 4096)
-	}
-	//ipslint:ignore hotpathalloc io.ReadFull into an existing buffer does not allocate; the interface call is the runtime socket
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return frame{}, buf, err
-	}
-	frameLen := binary.LittleEndian.Uint32(buf[:4])
-	if frameLen > MaxFrameSize || frameLen < 9 {
-		return frame{}, buf, ErrFrameTooLarge
-	}
-	if cap(buf) < int(frameLen) {
-		//ipslint:ignore hotpathalloc read-buffer growth amortizes away under per-connection reuse
-		buf = make([]byte, frameLen)
-	}
-	raw := buf[:frameLen]
-	//ipslint:ignore hotpathalloc io.ReadFull into an existing buffer does not allocate; the interface call is the runtime socket
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return frame{}, buf, err
-	}
-	noteRead(4 + len(raw))
-	fr, err := parseFrame(raw)
-	return fr, buf, err
-}
-
-// readFrame reads one frame into fresh storage — the form for callers
-// that hand the frame to another goroutine.
-func readFrame(r io.Reader) (frame, error) {
-	fr, _, err := readFrameReuse(r, nil)
-	return fr, err
-}

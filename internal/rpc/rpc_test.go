@@ -308,10 +308,13 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 func net0Listen(s *Server, addr string) (string, error) { return s.Listen(addr) }
 
 func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
-	err := writeFrame(&buf, 1, kindRequest, "m", make([]byte, MaxFrameSize))
+	dst := []byte("kept")
+	out, err := appendFrame(dst, outFrame{seq: 1, kind: kindRequest, method: "m", payload: make([]byte, MaxFrameSize)})
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+	if string(out) != "kept" {
+		t.Fatalf("a rejected frame left %d bytes in the buffer", len(out)-len(dst))
 	}
 }
 

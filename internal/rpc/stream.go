@@ -40,11 +40,14 @@ type ServerStream struct {
 	seq uint64
 }
 
-// Send pushes one data frame to the client. It is safe for concurrent
-// use and returns the connection's write error, if any — a failed Send
-// means the connection is dying and the handler should return.
+// Send pushes one data frame to the client; the payload is copied into
+// the connection's write buffer before Send returns. It is safe for
+// concurrent use. Frames are written by whichever sender is flushing, so
+// a write error may surface on a later Send than the one whose frame it
+// lost — a failed Send means the connection is dying and the handler
+// should return (its context is canceled as well).
 func (st *ServerStream) Send(payload []byte) error {
-	return st.cw.send(st.seq, kindStreamData, "", payload)
+	return st.cw.push(outFrame{seq: st.seq, kind: kindStreamData, payload: payload}, false)
 }
 
 // HandleStream registers a stream handler for method, replacing any
@@ -119,7 +122,7 @@ func (s *Server) startStream(cw *connWriter, cs *connStreams, seq uint64, method
 	h := s.streamHandlers[method]
 	s.mu.RUnlock()
 	if h == nil {
-		_ = cw.send(seq, kindStreamClose, "", []byte(ErrNoMethod.Error()+": "+method))
+		_ = cw.push(outFrame{seq: seq, kind: kindStreamClose, payload: []byte(ErrNoMethod.Error() + ": " + method)}, false)
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -134,7 +137,7 @@ func (s *Server) startStream(cw *connWriter, cs *connStreams, seq uint64, method
 		if err != nil && !errors.Is(err, context.Canceled) {
 			msg = []byte(err.Error())
 		}
-		_ = cw.send(seq, kindStreamClose, "", msg)
+		_ = cw.push(outFrame{seq: seq, kind: kindStreamClose, payload: msg}, false)
 	}()
 }
 
@@ -143,8 +146,9 @@ func (s *Server) startStream(cw *connWriter, cs *connStreams, seq uint64, method
 // caller cannot stall the pooled connection the stream shares with
 // ordinary calls.
 type ClientStream struct {
-	cc  *clientConn
-	seq uint64
+	cc     *clientConn
+	seq    uint64
+	method string
 
 	mu    sync.Mutex
 	queue [][]byte
@@ -155,31 +159,30 @@ type ClientStream struct {
 // Stream opens a stream for method with the given opening payload and
 // returns its receive half. The caller must drain it with Recv and
 // release it with Close. ctx bounds only the open (dial wait), not the
-// stream's lifetime.
+// stream's lifetime. The open frame leaves through the same queue+flush
+// writer as every call, so a write error found by another caller's flush
+// reaches the stream as its terminal Recv error, not as Stream's.
 func (c *Client) Stream(ctx context.Context, method string, payload []byte) (*ClientStream, error) {
 	cc, err := c.pick(ctx)
 	if err != nil {
 		return nil, err
 	}
-	seq := cc.seq.Add(1)
-	st := &ClientStream{cc: cc, seq: seq, ready: make(chan struct{}, 1)}
+	st := &ClientStream{cc: cc, seq: cc.seq.Add(1), method: method, ready: make(chan struct{}, 1)}
+	// Registered under the same lock fail sweeps with, after the same
+	// dead check as a call: a stream registered here is certain to be
+	// swept if the connection dies.
 	cc.mu.Lock()
+	if cc.dead.Load() {
+		cc.mu.Unlock()
+		return nil, ErrClosed
+	}
 	if cc.streams == nil {
 		cc.streams = make(map[uint64]*ClientStream)
 	}
-	cc.streams[seq] = st
+	cc.streams[st.seq] = st
 	cc.mu.Unlock()
-	// fail() may have swept the streams map between our registration and
-	// here; dead is set before the sweep, so observing it false means the
-	// sweep (when it comes) will see our entry.
-	if cc.dead.Load() {
-		cc.removeStream(seq)
-		return nil, ErrClosed
-	}
-	if err := cc.cw.send(seq, kindStreamOpen, method, payload); err != nil {
-		cc.fail(err)
-		c.drop(cc)
-		cc.removeStream(seq)
+	if err := cc.cw.push(outFrame{seq: st.seq, kind: kindStreamOpen, method: method, payload: payload}, false); err != nil {
+		cc.removeStream(st.seq)
 		return nil, err
 	}
 	return st, nil
@@ -217,7 +220,7 @@ func (st *ClientStream) Recv(ctx context.Context) ([]byte, error) {
 func (st *ClientStream) Close() error {
 	st.cc.removeStream(st.seq)
 	st.finish(ErrClosed)
-	_ = st.cc.cw.send(st.seq, kindStreamClose, "", nil)
+	_ = st.cc.cw.push(outFrame{seq: st.seq, kind: kindStreamClose}, false)
 	return nil
 }
 
@@ -256,15 +259,14 @@ func (cc *clientConn) removeStream(seq uint64) {
 }
 
 // handleStreamFrame dispatches one frame whose sequence ID belongs to an
-// open stream. Returns false when no stream claims the sequence (a
-// late frame for a closed stream — dropped, like a timed-out call's
-// response).
-func (cc *clientConn) handleStreamFrame(fr frame) bool {
+// open stream. A frame no stream claims (a late frame for a closed
+// stream) is dropped, like a timed-out call's response.
+func (cc *clientConn) handleStreamFrame(fr frame) {
 	cc.mu.Lock()
 	st := cc.streams[fr.seq]
 	cc.mu.Unlock()
 	if st == nil {
-		return false
+		return
 	}
 	switch fr.kind {
 	case kindStreamData:
@@ -274,8 +276,7 @@ func (cc *clientConn) handleStreamFrame(fr frame) bool {
 		if fr.kind == kindStreamClose && len(fr.payload) == 0 {
 			st.finish(io.EOF)
 		} else {
-			st.finish(&RemoteError{Msg: string(fr.payload)})
+			st.finish(&RemoteError{Method: st.method, Msg: string(fr.payload)})
 		}
 	}
-	return true
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"ips/internal/rpc"
 	"ips/internal/trace"
 )
 
@@ -95,6 +96,10 @@ func (d *DebugServer) writeStats(w io.Writer) {
 		h.Active.Value(), h.Watched.Value(), h.Evals.Value(), h.EvalErrs.Value(),
 		h.Skips.Value(), h.Pushes.Value(), h.Drops.Value(), h.Resyncs.Value(),
 		h.NotifyLat.Quantile(0.99))
+	wire := rpc.IOStats()
+	fmt.Fprintf(w, "rpc: frames_out=%d frames_in=%d bytes_out=%d bytes_in=%d writes=%d reads=%d frames_per_write=%.2f frames_per_read=%.2f\n",
+		wire.FramesWritten, wire.FramesRead, wire.BytesWritten, wire.BytesRead, wire.Writes, wire.Reads,
+		perSyscall(wire.FramesWritten, wire.Writes), perSyscall(wire.FramesRead, wire.Reads))
 	tables := d.in.Tables()
 	sort.Strings(tables)
 	for _, tbl := range tables {
@@ -107,6 +112,15 @@ func (d *DebugServer) writeStats(w io.Writer) {
 		fmt.Fprintf(w, "table %s tiers: warm_usage=%dB warm_resident=%d demotions=%d warm_hits=%d warm_misses=%d warm_evictions=%d shard_scans=%d\n",
 			tbl, cs.WarmUsage, cs.WarmResident, cs.Demotions, cs.WarmHits, cs.WarmMisses, cs.WarmEvictions, cs.ShardScans)
 	}
+}
+
+// perSyscall is frames per write (or read) syscall: 1.0 means no
+// batching, N means N pipelined frames shared each syscall.
+func perSyscall(frames, syscalls uint64) float64 {
+	if syscalls == 0 {
+		return 0
+	}
+	return float64(frames) / float64(syscalls)
 }
 
 func (d *DebugServer) writeStages(w io.Writer) {

@@ -88,7 +88,8 @@ func TestDebugSnapshotSections(t *testing.T) {
 	}
 
 	if out := get("stats"); !strings.Contains(out, "instance ips-debug-0") ||
-		!strings.Contains(out, "queries=1") {
+		!strings.Contains(out, "queries=1") ||
+		!strings.Contains(out, "rpc: frames_out=") || !strings.Contains(out, "frames_per_write=") {
 		t.Fatalf("stats output missing fields:\n%s", out)
 	}
 	out := get("stages")

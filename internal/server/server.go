@@ -325,7 +325,11 @@ func (in *Instance) CreateTable(name string, schema *model.Schema) error {
 // in.mu held; uses ts directly.
 func (in *Instance) replayTable(ts *tableState) error {
 	name := ts.main.Name
-	for _, rec := range in.journal.Records() {
+	recs, err := in.journal.Records()
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
 		if rec.Table != name {
 			continue
 		}

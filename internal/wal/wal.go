@@ -94,7 +94,17 @@ type Record struct {
 	Name    string // OpOffsets: pipeline identifier
 	Offsets map[string][]int64
 
-	frame []byte // the full on-disk frame, retained for journal rewrites
+	frame []byte // the full on-disk frame, as read or written
+}
+
+// retained is what the journal keeps of a mutation record after it is
+// written: the on-disk frame, for rewrites and for Records to decode on
+// demand. The decoded form — above all an add's Entries, which is the
+// caller's own slice — is not kept: it would pin every acknowledged
+// write's entries until the next Compact.
+type retained struct {
+	lsn   uint64
+	frame []byte
 }
 
 // Payload field numbers.
@@ -144,7 +154,7 @@ type Journal struct {
 	nextLSN uint64
 	// records holds the retained mutation records in LSN order: the
 	// unflushed suffix plus flushed records not yet compacted away.
-	records []Record
+	records []retained
 	// offsets holds the latest consumer-offset checkpoint per pipeline
 	// name; retained across rewrites.
 	offsets map[string]Record
@@ -240,7 +250,7 @@ func (j *Journal) admit(rec Record) {
 		j.offsets[rec.Name] = rec
 		return
 	}
-	j.records = append(j.records, rec)
+	j.records = append(j.records, retained{lsn: rec.LSN, frame: rec.frame})
 	key := profileKey(rec.Table, rec.Profile)
 	j.pending[key] = append(j.pending[key], pendingRec{lsn: rec.LSN, size: int64(len(rec.frame)), isolated: rec.Isolated})
 }
@@ -452,31 +462,32 @@ func readFrame(r *bufio.Reader) (Record, int, error) {
 		}
 		return Record{}, 0, err
 	}
-	crc := binary.LittleEndian.Uint32(hdr[0:])
-	op := Op(hdr[4])
-	lsn := binary.LittleEndian.Uint64(hdr[5:])
 	plen := binary.LittleEndian.Uint32(hdr[13:])
 	if plen > maxPayload {
 		return Record{}, 0, errors.New("wal: absurd payload length")
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := make([]byte, frameHdrLen+int(plen))
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[frameHdrLen:]); err != nil {
 		return Record{}, 0, errors.New("wal: torn payload")
 	}
-	h := crc32.NewIEEE()
-	h.Write(hdr[4:])
-	h.Write(payload)
-	if h.Sum32() != crc {
+	if crc32.ChecksumIEEE(frame[4:]) != binary.LittleEndian.Uint32(frame) {
 		return Record{}, 0, errors.New("wal: crc mismatch")
 	}
-	rec := Record{LSN: lsn, Op: op}
-	if err := decodePayload(&rec, payload); err != nil {
-		return Record{}, 0, fmt.Errorf("wal: payload: %w", err)
+	rec, err := decodeFrame(frame)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	frame := make([]byte, 0, frameHdrLen+len(payload))
-	frame = append(frame, hdr[:]...)
-	rec.frame = append(frame, payload...)
-	return rec, frameHdrLen + int(plen), nil
+	return rec, len(frame), nil
+}
+
+// decodeFrame decodes a complete, checksum-verified frame.
+func decodeFrame(frame []byte) (Record, error) {
+	rec := Record{LSN: binary.LittleEndian.Uint64(frame[5:]), Op: Op(frame[4]), frame: frame}
+	if err := decodePayload(&rec, frame[frameHdrLen:]); err != nil {
+		return Record{}, fmt.Errorf("wal: payload: %w", err)
+	}
+	return rec, nil
 }
 
 // ErrClosed reports an operation on a closed journal.
@@ -588,13 +599,24 @@ func (j *Journal) Offsets(name string) map[string][]int64 {
 	return out
 }
 
-// Records returns the retained mutation records in LSN order. The recovery
-// path iterates this once at startup; the returned slice must not be
-// mutated.
-func (j *Journal) Records() []Record {
+// Records returns the retained mutation records in LSN order, decoded
+// from their frames on demand: the recovery path iterates this once at
+// startup. Every retained frame was either decoded when the journal was
+// opened or encoded by this process, so an error here means the two have
+// diverged.
+func (j *Journal) Records() ([]Record, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]Record(nil), j.records...)
+	kept := append([]retained(nil), j.records...)
+	j.mu.Unlock()
+	out := make([]Record, 0, len(kept))
+	for _, r := range kept {
+		rec, err := decodeFrame(r.frame)
+		if err != nil {
+			return nil, fmt.Errorf("wal: retained record %d: %w", r.lsn, err)
+		}
+		out = append(out, rec)
+	}
+	return out, nil
 }
 
 // NoteFlushed reports that the profile's persisted state now covers every
@@ -681,7 +703,7 @@ func (j *Journal) Compact() error {
 		return err
 	}
 	tw := bufio.NewWriter(tf)
-	var kept []Record
+	var kept []retained
 	var size int64
 	// Sorted pipeline names: the rewritten journal must be byte-identical
 	// across runs for recovery to be reproducible.
@@ -698,7 +720,7 @@ func (j *Journal) Compact() error {
 		size += int64(len(rec.frame))
 	}
 	for _, rec := range j.records {
-		if rec.LSN <= wm {
+		if rec.lsn <= wm {
 			continue
 		}
 		if _, err := tw.Write(rec.frame); err != nil {

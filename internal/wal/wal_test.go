@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ips/internal/config"
@@ -18,6 +19,16 @@ func openT(t *testing.T, path string, opts Options) *Journal {
 		t.Fatal(err)
 	}
 	return j
+}
+
+// recordsT returns the journal's retained records, decoded.
+func recordsT(t *testing.T, j *Journal) []Record {
+	t.Helper()
+	recs, err := j.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -54,7 +65,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 	j2 := openT(t, path, Options{})
 	defer j2.Close()
-	recs := j2.Records()
+	recs := recordsT(t, j2)
 	if len(recs) != 3 {
 		t.Fatalf("records = %d, want 3", len(recs))
 	}
@@ -117,7 +128,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 		}
 		jc := openT(t, p, Options{})
 		want := cut / frame
-		if got := len(jc.Records()); got != want {
+		if got := len(recordsT(t, jc)); got != want {
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, want)
 		}
 		jc.Close()
@@ -130,7 +141,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	}
 	jg := openT(t, p, Options{})
 	defer jg.Close()
-	if got := len(jg.Records()); got != 4 {
+	if got := len(recordsT(t, jg)); got != 4 {
 		t.Fatalf("garbled: recovered %d records, want 4", got)
 	}
 }
@@ -175,7 +186,7 @@ func TestJournalWatermarkAndCompact(t *testing.T) {
 	j.Close()
 	j2 := openT(t, path, Options{})
 	defer j2.Close()
-	recs := j2.Records()
+	recs := recordsT(t, j2)
 	if len(recs) != 3 {
 		t.Fatalf("post-reopen records = %d, want 3", len(recs))
 	}
@@ -209,7 +220,7 @@ func TestJournalOffsetsSurviveCompaction(t *testing.T) {
 	if got := j2.Offsets("pipe"); !reflect.DeepEqual(got, map[string][]int64{"t": {5}}) {
 		t.Fatalf("offsets after reopen = %+v", got)
 	}
-	if got := len(j2.Records()); got != 0 {
+	if got := len(recordsT(t, j2)); got != 0 {
 		t.Fatalf("flushed records survived compaction: %d", got)
 	}
 }
@@ -268,7 +279,7 @@ func TestJournalIsolatedStreamRetirement(t *testing.T) {
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	recs := j.Records()
+	recs := recordsT(t, j)
 	if len(recs) != 1 || !recs[0].Isolated || recs[0].LSN != 2 {
 		t.Fatalf("after main-stream compact: %+v, want the lsn-2 isolated record", recs)
 	}
@@ -276,7 +287,7 @@ func TestJournalIsolatedStreamRetirement(t *testing.T) {
 	j.Close()
 	j2 := openT(t, path, Options{CompactMinBytes: 1 << 40})
 	defer j2.Close()
-	recs = j2.Records()
+	recs = recordsT(t, j2)
 	if len(recs) != 1 || !recs[0].Isolated {
 		t.Fatalf("after reopen: %+v, want isolated record", recs)
 	}
@@ -285,7 +296,7 @@ func TestJournalIsolatedStreamRetirement(t *testing.T) {
 	if err := j2.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(j2.Records()); got != 0 {
+	if got := len(recordsT(t, j2)); got != 0 {
 		t.Fatalf("retained %d records after merged-watermark flush", got)
 	}
 }
@@ -322,5 +333,68 @@ func TestJournalCompactLeavesNoTempFile(t *testing.T) {
 	}
 	if len(raw) == 0 {
 		t.Fatal("post-compact append vanished (stale fd?)")
+	}
+}
+
+// TestLiveAppendsRetainFramesOnly: a live journal keeps a record's frame,
+// not its decoded form — above all not the caller's Entries slice, which
+// it used to pin until the next Compact. Records() decodes on demand and
+// must equal what reopening the file yields, and the heap the journal
+// retains per add must stay within twice its frame bytes.
+func TestLiveAppendsRetainFramesOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	j := openT(t, path, Options{CompactMinBytes: 1 << 40})
+	defer j.Close()
+
+	const adds, perAdd, profiles = 20_000, 4, 64
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < adds; i++ {
+		// Entries of the shape a caller hands in: a fresh slice, each entry
+		// with its own Counts. Nothing else references them after the call.
+		entries := make([]wire.AddEntry, perAdd)
+		for k := range entries {
+			entries[k] = wire.AddEntry{
+				Timestamp: int64(1_700_000_000_000 + i), Slot: 1, Type: uint32(k),
+				FID: uint64(i*perAdd + k), Counts: []int64{int64(i), 1, 0},
+			}
+		}
+		var err error
+		if i%2 == 0 {
+			_, err = j.AppendAdd(context.Background(), "user_profile", uint64(i%profiles), entries)
+		} else {
+			_, err = j.AppendIsolatedAdd(context.Background(), "user_profile", uint64(i%profiles), entries)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	retainedHeap := int64(heap()) - int64(before)
+	frameBytes := j.Stats().AppendBytes
+	perAddHeap, perAddFrame := retainedHeap/adds, frameBytes/adds
+	t.Logf("retained heap %d B/add, frame %d B/add", perAddHeap, perAddFrame)
+	if perAddHeap > 2*perAddFrame {
+		t.Fatalf("journal retains %d heap bytes per add for a %d-byte frame (limit 2x): decoded entries pinned?", perAddHeap, perAddFrame)
+	}
+
+	live := recordsT(t, j)
+	j2 := openT(t, path, Options{CompactMinBytes: 1 << 40})
+	defer j2.Close()
+	reopened := recordsT(t, j2)
+	if len(live) != adds {
+		t.Fatalf("live journal reports %d records, want %d", len(live), adds)
+	}
+	if !reflect.DeepEqual(live, reopened) {
+		t.Fatal("Records() of the live journal differs from what reopening the file yields")
+	}
+	last := live[adds-1]
+	if !last.Isolated || len(last.Entries) != perAdd || last.Entries[perAdd-1].FID != uint64(adds*perAdd-1) {
+		t.Fatalf("last record decoded wrong: %+v", last)
 	}
 }

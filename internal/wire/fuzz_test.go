@@ -71,6 +71,7 @@ func FuzzDecodeQuery(f *testing.F) {
 // FuzzDecodeQueryResponse covers the response path.
 func FuzzDecodeQueryResponse(f *testing.F) {
 	f.Add(EncodeQueryResponse(&QueryResponse{SlicesScanned: 3, CacheHit: true, ServerNanos: 42}))
+	f.Add(squareResponse(20_000)) // shape names 3 GiB of counts; see TestDecodeQueryResponseStaysLinear
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeQueryResponse(data)
 		if err != nil {

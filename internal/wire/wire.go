@@ -264,20 +264,31 @@ func decodeErr(what string, err error) error {
 
 // EncodeAdd serializes an AddRequest.
 func EncodeAdd(r *AddRequest) []byte {
+	return AppendAdd(nil, r)
+}
+
+// AppendAdd serializes an AddRequest into dst's storage and returns the
+// extended slice — allocation-free when dst has capacity, which is how
+// the client's pooled call scratch encodes writes.
+//
+//ips:hotpath
+func AppendAdd(dst []byte, r *AddRequest) []byte {
 	var e codec.Buffer
+	e.Attach(dst)
 	e.String(fAddCaller, r.Caller)
 	e.String(fAddTable, r.Table)
 	e.Uint64(fAddProfile, r.ProfileID)
-	for _, en := range r.Entries {
-		e.Message(fAddEntry, func(b *codec.Buffer) {
-			b.Int64(fEntryTS, en.Timestamp)
-			b.Uint32(fEntrySlot, en.Slot)
-			b.Uint32(fEntryType, en.Type)
-			b.Uint64(fEntryFID, en.FID)
-			b.PackedI64(fEntryCounts, en.Counts)
-		})
+	for i := range r.Entries {
+		en := &r.Entries[i]
+		start := e.BeginMessage(fAddEntry)
+		e.Int64(fEntryTS, en.Timestamp)
+		e.Uint32(fEntrySlot, en.Slot)
+		e.Uint32(fEntryType, en.Type)
+		e.Uint64(fEntryFID, en.FID)
+		e.PackedI64(fEntryCounts, en.Counts)
+		e.EndMessage(start)
 	}
-	return append([]byte(nil), e.Bytes()...)
+	return e.Detach()
 }
 
 // DecodeAdd parses an AddRequest.
@@ -531,13 +542,93 @@ func appendQueryResponseFields(e *codec.Buffer, r *QueryResponse) {
 	}
 }
 
-// DecodeQueryResponse parses a QueryResponse.
+// DecodeQueryResponse parses a QueryResponse into freshly owned storage:
+// three allocations whatever K is — the response, its Features, and one
+// flat array every feature's Counts is carved from. The array is sized
+// from the number of feature messages and the first one's count vector
+// (every feature of one answer counts the same actions); a frame that
+// breaks that pattern still decodes correctly, its extra vectors simply
+// get storage of their own. The array never has more elements than the
+// frame has bytes — a packed value is at least one byte, so no honest
+// frame needs more, and a hostile one (one feature packing n counts, then
+// n empty features: n² from 3n bytes) cannot ask for more than a small
+// multiple of what it carries.
 func DecodeQueryResponse(data []byte) (*QueryResponse, error) {
 	r := &QueryResponse{}
-	if err := DecodeQueryResponseInto(data, r); err != nil {
+	features, perFeature := responseShape(data)
+	if features > 0 {
+		r.Features = make([]query.Feature, 0, features)
+	}
+	counts := len(data)
+	if perFeature == 0 || features <= counts/perFeature {
+		counts = features * perFeature
+	}
+	flat := make([]int64, 0, counts)
+	if err := decodeQueryResponse(data, r, &flat); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// responseShape returns how many feature messages data carries and how
+// many values the first one's Counts field packs. It validates nothing:
+// on malformed input it stops early and the decode proper reports the
+// error.
+func responseShape(data []byte) (features, perFeature int) {
+	var rd codec.Reader
+	for rd.Reset(data); !rd.Done(); {
+		f, wt, err := rd.Next()
+		if err != nil {
+			break
+		}
+		if f != fRFeature {
+			if rd.Skip(wt) != nil {
+				break
+			}
+			continue
+		}
+		msg, err := rd.Bytes()
+		if err != nil {
+			break
+		}
+		if features++; features == 1 {
+			perFeature = packedCounts(msg)
+		}
+	}
+	return features, perFeature
+}
+
+// packedCounts returns how many values the Counts field of one encoded
+// feature message packs (0 if the message is malformed or has none): in
+// a packed varint run, every value ends with a byte whose high bit is
+// clear.
+func packedCounts(msg []byte) int {
+	var rd codec.Reader
+	rd.Reset(msg)
+	for !rd.Done() {
+		f, wt, err := rd.Next()
+		if err != nil {
+			return 0
+		}
+		if f != fFeatCounts {
+			if rd.Skip(wt) != nil {
+				return 0
+			}
+			continue
+		}
+		packed, err := rd.Bytes()
+		if err != nil {
+			return 0
+		}
+		n := 0
+		for _, b := range packed {
+			if b < 0x80 {
+				n++
+			}
+		}
+		return n
+	}
+	return 0
 }
 
 // DecodeQueryResponseInto parses a QueryResponse into a caller-owned
@@ -547,6 +638,16 @@ func DecodeQueryResponse(data []byte) (*QueryResponse, error) {
 //
 //ips:hotpath
 func DecodeQueryResponseInto(data []byte, r *QueryResponse) error {
+	return decodeQueryResponse(data, r, nil)
+}
+
+// decodeQueryResponse is the one response decoder. With flat nil each
+// feature's Counts reuses the storage the element held before; with flat
+// set, each is carved from *flat's spare capacity instead (and
+// capacity-limited, so appending to one cannot run into its neighbour).
+//
+//ips:hotpath
+func decodeQueryResponse(data []byte, r *QueryResponse, flat *[]int64) error {
 	feats := r.Features[:0]
 	n := 0
 	*r = QueryResponse{}
@@ -582,7 +683,17 @@ func DecodeQueryResponseInto(data []byte, r *QueryResponse) error {
 				case fFeatFID:
 					feat.FID, err = sub.Uint64()
 				case fFeatCounts:
-					feat.Counts, err = sub.PackedI64Into(feat.Counts)
+					if flat == nil {
+						feat.Counts, err = sub.PackedI64Into(feat.Counts)
+						break
+					}
+					used := len(*flat)
+					var vals []int64
+					vals, err = sub.PackedI64Into((*flat)[used:])
+					if len(vals) <= cap(*flat)-used {
+						*flat = (*flat)[:used+len(vals)] // decoded in place: the window is taken
+					}
+					feat.Counts = vals[:len(vals):len(vals)]
 				case fFeatLastSeen:
 					feat.LastSeen, err = sub.Int64()
 				case fFeatScore:

@@ -44,7 +44,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "trace one request in N for per-stage latency attribution (0 = tracing off)")
 	traceSlow := flag.Duration("trace-slow", 0, "retain sampled traces at least this slow in the slow-query log (0 = slow log off)")
 	debugAddr := flag.String("debug", "", "listen address for the plain-text debug endpoint (empty = off; query with ips-cli debug)")
-	hotSlots := flag.Int("hot-slots", 0, "replicated read slots per hot profile; Zipf-head reads are served lock-free from immutable replicas (0 = off)")
+	hotSlots := flag.Int("hot-slots", 0, "0 disables hot-profile promotion; any positive value enables one shared immutable replica per hot profile, serving Zipf-head reads lock-free")
 	hotPromoteAfter := flag.Int("hot-promote-after", 0, "decayed read count that promotes a profile into hot slots (0 = gcache default)")
 	memLimit := flag.Int64("mem-limit", 0, "decoded-tier cache budget in bytes; eviction demotes over-budget profiles hot -> warm -> KV (0 = unbounded)")
 	warmLimit := flag.Int64("warm-limit", 0, "warm-tier budget in bytes for snap-compressed demoted profiles served without a KV round trip (0 = warm tier off)")

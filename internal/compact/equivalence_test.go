@@ -40,14 +40,16 @@ func TestCompactionQueryEquivalenceProperty(t *testing.T) {
 			Range:  query.AbsoluteRange(0, now+1),
 			SortBy: query.ByAction, Action: "like",
 		}
-		before, err := query.Run(p, sch, req, now)
+		// Separate scratches: each result aliases its own.
+		var sb, sa query.Scratch
+		before, err := query.RunScratch(p, sch, req, now, &sb)
 		if err != nil {
 			return false
 		}
 		p.Lock()
 		CompactProfile(p, sch, dim, now)
 		p.Unlock()
-		after, err := query.Run(p, sch, req, now)
+		after, err := query.RunScratch(p, sch, req, now, &sa)
 		if err != nil {
 			return false
 		}

@@ -64,19 +64,19 @@ type Options struct {
 	FlushInterval time.Duration
 	// SwapInterval is the memory-check cadence; default 100ms.
 	SwapInterval time.Duration
-	// HotSlots enables replicated hot-profile read slots (batch
-	// architecture v2): a profile whose decayed read count crosses
-	// HotPromoteAfter is promoted into this many immutable read
-	// replicas, and reads round-robin across them instead of
-	// serializing on the live profile's lock. Any mutation invalidates
-	// the replicas before it is acknowledged. 0 disables (the default).
+	// HotSlots switches hot-profile read replicas (batch architecture
+	// v2): 0 disables promotion (the default), and any positive value
+	// enables one shared replica per hot profile. A profile whose decayed
+	// read count crosses HotPromoteAfter is promoted into an immutable
+	// clone that serves reads without the live profile's lock. Any
+	// mutation invalidates the replica before it is acknowledged.
 	HotSlots int
 	// HotPromoteAfter is the decayed read count that promotes a profile
 	// into hot slots; default 64. Counts halve every ~16k reads, so the
 	// threshold tracks the current Zipf head, not all-time totals.
 	HotPromoteAfter int
 	// HotMaxEntries caps simultaneously promoted profiles (each costs
-	// HotSlots deep clones of a hot profile); default 128.
+	// one deep clone of a hot profile); default 128.
 	HotMaxEntries int
 }
 
@@ -295,7 +295,7 @@ func (g *GCache) dirtyShardFor(id model.ProfileID) *dirtyShard {
 }
 
 // Usage returns the approximate decoded-tier resident bytes, including
-// the hot-slot read replicas (each promoted profile pins K deep clones;
+// the hot read replicas (each promoted profile pins one deep clone;
 // charging them here is what makes MemLimit an honest budget).
 func (g *GCache) Usage() int64 { return g.usage.Load() + g.hot.cloneBytes() }
 
@@ -531,9 +531,9 @@ func (g *GCache) GetCtx(ctx context.Context, id model.ProfileID) (p *model.Profi
 }
 
 // GetForRead is the query path's entry point: like GetCtx, except a
-// profile promoted into hot read slots is served from one of its
-// immutable replicas, bypassing the live profile's lock entirely (the
-// replica's own lock is uncontended K-ways). hot reports which path
+// profile promoted into a hot read replica is served from that immutable
+// clone, bypassing the live profile's lock entirely (the query kernel
+// reads a hot replica without any lock). hot reports which path
 // served the read; a hot read is tagged with a hotslot.hit span on ctx's
 // trace. Reads served live feed the hot-key detector, so a profile that
 // crosses the promotion threshold is snapshotted into slots inline on
@@ -554,7 +554,7 @@ func (g *GCache) GetForRead(ctx context.Context, id model.ProfileID) (p *model.P
 		g.touch(id, 0)
 		sp := trace.StartLeaf(ctx, trace.StageHotSlotHit)
 		sp.End()
-		return e.pick(), true, true, nil
+		return e.replica, true, true, nil
 	}
 	p, hit, err = g.GetCtx(ctx, id)
 	if err == nil && p != nil && g.hot.note(id) {

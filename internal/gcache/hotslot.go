@@ -12,14 +12,15 @@ import (
 // a handful of profiles, where they serialize on each profile's RWMutex
 // (even read locks contend: every RLock bounces the same cache line).
 // A small detector over recent gets promotes profiles that cross a read
-// threshold into K immutable read replicas — deep clones taken under one
-// RLock — and subsequent reads round-robin across the replicas instead
-// of touching the live profile's lock at all. Any mutation (add, merge,
-// compaction, eviction, delete) invalidates the replicas before the
-// mutation is acknowledged, so a read that starts after a write's ack
-// can never observe a snapshot older than that write. The NVIDIA GPU
-// inference parameter server (PAPERS.md) uses the same replicate-the-head
-// trick to dodge hot-embedding contention.
+// threshold into one immutable read replica — a deep clone taken under
+// one RLock — and subsequent reads are served from it without touching
+// the live profile's lock at all. The replica is never written, and the
+// query kernel reads it without a lock, so every reader shares the one
+// clone. Any mutation (add, merge, compaction, eviction, delete)
+// invalidates the replica before the mutation is acknowledged, so a read
+// that starts after a write's ack can never observe a snapshot older than
+// that write. The NVIDIA GPU inference parameter server (PAPERS.md) uses
+// the same replicate-the-head trick to dodge hot-embedding contention.
 
 const (
 	// hotCountSlots sizes the decayed read-counter table (a one-row
@@ -46,11 +47,11 @@ const (
 	hotDecayEvery = 1 << 14
 )
 
-// hotEntry is one promoted profile: K immutable clones plus the
-// watermarks they were snapshotted at.
+// hotEntry is one promoted profile: its immutable clone plus the
+// watermarks it was snapshotted at.
 type hotEntry struct {
 	// id is the promoted profile's key, checked by index lookups so a
-	// colliding slot can never serve another profile's replicas.
+	// colliding slot can never serve another profile's replica.
 	id model.ProfileID
 	// lsn is the profile's WalLSN at snapshot time; the staleness
 	// property test asserts reads never observe an lsn below the last
@@ -58,26 +59,16 @@ type hotEntry struct {
 	lsn uint64
 	// gen is the profile's Generation at snapshot time.
 	gen uint64
-	// bytes is the summed footprint of the K clones, charged to the
-	// hot set while the entry is installed — promoted replicas are real
-	// memory and count against MemLimit like any resident profile.
-	bytes int64
-	next  atomic.Uint64
-	slots []*model.Profile
-}
-
-// pick returns the next read slot round-robin, spreading concurrent
-// readers across the K clones' independent locks.
-//
-//ips:hotpath
-func (e *hotEntry) pick() *model.Profile {
-	return e.slots[e.next.Add(1)%uint64(len(e.slots))]
+	// bytes is the clone's footprint, charged to the hot set while the
+	// entry is installed — a promoted replica is real memory and counts
+	// against MemLimit like any resident profile.
+	bytes   int64
+	replica *model.Profile
 }
 
 // hotSet is the per-cache hot-key detector plus the promoted-entry table.
 // A nil *hotSet disables the feature: every method is nil-safe.
 type hotSet struct {
-	k            int    // read slots per promoted profile
 	promoteAfter uint32 // reads within the decay window that promote
 	maxEntries   int64  // cap on simultaneously promoted profiles
 
@@ -93,8 +84,9 @@ type hotSet struct {
 	decayMu sync.Mutex
 }
 
-func newHotSet(k, promoteAfter, maxEntries int) *hotSet {
-	if k <= 0 {
+// newHotSet returns the hot set, or nil (promotion off) when slots is 0.
+func newHotSet(slots, promoteAfter, maxEntries int) *hotSet {
+	if slots <= 0 {
 		return nil
 	}
 	if promoteAfter <= 0 {
@@ -103,7 +95,7 @@ func newHotSet(k, promoteAfter, maxEntries int) *hotSet {
 	if maxEntries <= 0 {
 		maxEntries = 128
 	}
-	return &hotSet{k: k, promoteAfter: uint32(promoteAfter), maxEntries: int64(maxEntries)}
+	return &hotSet{promoteAfter: uint32(promoteAfter), maxEntries: int64(maxEntries)}
 }
 
 //ips:hotpath
@@ -169,7 +161,7 @@ func (h *hotSet) note(id model.ProfileID) bool {
 // never be served after it. The read counter is reset so a write-hot key
 // must earn promoteAfter fresh reads between writes — keys written as
 // often as they are read naturally stay unpromoted instead of thrashing
-// K clones per write. Reports whether an entry was removed.
+// a clone per write. Reports whether an entry was removed.
 func (h *hotSet) invalidate(id model.ProfileID) bool {
 	if h == nil {
 		return false
@@ -194,7 +186,7 @@ func (h *hotSet) cloneBytes() int64 {
 	return h.bytes.Load()
 }
 
-// maybePromote snapshots p into K immutable read slots, unless id is
+// maybePromote snapshots p into one immutable read replica, unless id is
 // already promoted, another goroutine is promoting it, or the entry cap
 // is reached. The epoch is read BEFORE the snapshot and re-checked AFTER
 // the entry is installed: a writer that mutates p in between bumps the
@@ -219,16 +211,12 @@ func (g *GCache) maybePromote(id model.ProfileID, p *model.Profile) bool {
 		return false
 	}
 	e := h.epoch(id).Load()
-	entry := &hotEntry{id: id, slots: make([]*model.Profile, h.k)}
+	entry := &hotEntry{id: id}
 	p.RLock()
 	entry.lsn, entry.gen = p.WalLSN, p.Generation
-	for i := range entry.slots {
-		entry.slots[i] = p.Clone()
-	}
+	entry.replica = p.Clone()
 	p.RUnlock()
-	for _, c := range entry.slots {
-		entry.bytes += c.MemSize()
-	}
+	entry.bytes = entry.replica.MemSize()
 	h.entries.Store(id, entry)
 	h.indexSlot(id).Store(entry)
 	h.size.Add(1)

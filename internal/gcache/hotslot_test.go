@@ -39,8 +39,10 @@ func hotRead(g *GCache, id model.ProfileID) (p *model.Profile, hot bool) {
 }
 
 // TestHotSlotPromotionAndHit: a profile read past the threshold is
-// promoted, subsequent reads come from replicas (hot), and the replicas
-// round-robin across K distinct clones, none of which is the live object.
+// promoted, and every later read is served hot from one shared replica
+// that is not the live object but holds the live object's state. A write
+// invalidates the replica: the next read is served live and sees the
+// write, and a re-promotion snapshots a fresh replica that includes it.
 func TestHotSlotPromotionAndHit(t *testing.T) {
 	g, _ := newHotCache(t, Options{HotSlots: 3, HotPromoteAfter: 4})
 	if err := g.Add(1, 5000, 1, 1, 7, []int64{1, 0}); err != nil {
@@ -48,37 +50,63 @@ func TestHotSlotPromotionAndHit(t *testing.T) {
 	}
 	live := g.table.Get(1)
 
-	var promoted bool
-	for i := 0; i < 10; i++ {
-		_, hot := hotRead(g, 1)
-		if hot {
-			promoted = true
-			break
+	promote := func() *model.Profile {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			if p, hot := hotRead(g, 1); hot {
+				return p
+			}
 		}
-	}
-	if !promoted {
 		t.Fatalf("profile never promoted after 10 reads (threshold 4); promotions=%d", g.HotPromotions.Value())
+		return nil
 	}
+	replica := promote()
 	if g.HotPromotions.Value() != 1 {
 		t.Fatalf("promotions = %d, want 1", g.HotPromotions.Value())
 	}
-
-	seen := make(map[*model.Profile]bool)
+	if replica == live {
+		t.Fatal("hot read returned the live profile, want a replica")
+	}
 	for i := 0; i < 9; i++ {
 		p, hot := hotRead(g, 1)
 		if !hot {
 			t.Fatalf("read %d fell off the hot path", i)
 		}
-		if p == live {
-			t.Fatal("hot read returned the live profile, want a replica")
+		if p != replica {
+			t.Fatalf("read %d served %p, want the one replica %p", i, p, replica)
 		}
-		seen[p] = true
 	}
-	if len(seen) != 3 {
-		t.Fatalf("reads spread over %d replicas, want 3", len(seen))
+	live.RLock()
+	liveLSN, liveFeatures := live.WalLSN, live.NumFeatures()
+	live.RUnlock()
+	if replica.WalLSN != liveLSN || replica.NumFeatures() != liveFeatures {
+		t.Fatalf("replica (lsn %d, %d features) differs from live (lsn %d, %d features)",
+			replica.WalLSN, replica.NumFeatures(), liveLSN, liveFeatures)
 	}
-	if st := g.Stats(); st.HotResident != 1 || st.HotHits == 0 {
+	if st := g.Stats(); st.HotResident != 1 || st.HotHits < 10 {
 		t.Fatalf("stats: %+v", st)
+	}
+
+	if err := g.Add(1, 6000, 1, 1, 8, []int64{2, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if g.hot.lookup(1) != nil || g.Stats().HotResident != 0 {
+		t.Fatal("write acknowledged with the replica still installed")
+	}
+	p, hot := hotRead(g, 1)
+	if hot || p != live {
+		t.Fatalf("first read after the write: hot=%v live=%v, want a live read", hot, p == live)
+	}
+	live.RLock()
+	liveLSN, liveFeatures = live.WalLSN, live.NumFeatures()
+	live.RUnlock()
+	fresh := promote()
+	if fresh == replica || fresh == live {
+		t.Fatal("re-promotion must snapshot a new replica")
+	}
+	if fresh.WalLSN != liveLSN || fresh.NumFeatures() != liveFeatures || liveFeatures != 2 {
+		t.Fatalf("fresh replica (lsn %d, %d features) misses the write (live lsn %d, %d features)",
+			fresh.WalLSN, fresh.NumFeatures(), liveLSN, liveFeatures)
 	}
 }
 

@@ -380,8 +380,8 @@ func TestTierAccountingUnderChurn(t *testing.T) {
 }
 
 // TestHotCloneBytesChargedToUsage pins that promoted read replicas count
-// against the memory budget: K clones of a promoted profile appear in
-// Usage() and disappear on invalidation.
+// against the memory budget: the clone of a promoted profile appears in
+// Usage() and disappears on invalidation.
 func TestHotCloneBytesChargedToUsage(t *testing.T) {
 	g, tbl, _ := newCache(t, Options{HotSlots: 4, HotPromoteAfter: 2, HotMaxEntries: 8})
 	if err := g.Add(1, 5000, 1, 1, 7, []int64{5, 0}); err != nil {
@@ -398,7 +398,7 @@ func TestHotCloneBytesChargedToUsage(t *testing.T) {
 	}
 	grown := g.Usage()
 	if grown <= base {
-		t.Fatalf("usage %d must grow past %d once 4 clones are pinned", grown, base)
+		t.Fatalf("usage %d must grow past %d once the clone is pinned", grown, base)
 	}
 	checkTierAccounting(t, g, tbl)
 	// Any mutation invalidates; the clone bytes must come back off.

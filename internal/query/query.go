@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"ips/internal/model"
@@ -199,27 +199,48 @@ type Result struct {
 // the allocation profile of the hot path that performs it.
 var errUDAFRequired = errors.New("query: ByUDAF requires a UDAF")
 
-// Scratch holds the reusable working storage for query execution: the
-// feature accumulator (fid index map, flat Feature slice, count-vector
-// arena) plus top-K selection state. A warmed Scratch lets the whole
-// aggregation pipeline run without heap allocation — the zero-alloc read
-// path the paper's serving shape demands.
+// maxPresize caps the rows the fid table is presized for: slices that
+// repeat the same fids report many more stats than there are rows, and
+// the table is cleared on every run. Past the cap it grows by rehash.
+const maxPresize = 1 << 14
+
+// Scratch is the query kernel's reusable working storage: an
+// open-addressing fid table over flat per-row columns, and the kept-row
+// indices the filter, top-K and sort work on. A warmed Scratch runs the
+// whole read path without heap allocation.
 //
 // A Result produced through a Scratch aliases its storage: it is valid
 // only until the next run with the same Scratch. Callers that retain
 // results must copy them out first. A Scratch is not safe for concurrent
 // use.
 type Scratch struct {
-	idx   map[model.FeatureID]int32
-	feats []Feature
-	arena []int64
+	parts []part // the stats to merge: step 1's output
+
+	// table maps a fid to its row: each slot holds row+1, 0 when empty.
+	// Its length is a power of two, at least twice the row count; a fid
+	// hashes to its top log2(len) bits of fid*φ and probes linearly.
+	table []int32
+	shift uint
+
+	// Row r aggregates fid fids[r]: counts cnt[r*width:(r+1)*width], the
+	// newest slice end last[r], the UDAF score score[r] (UDAF queries
+	// only) and, once it passes the filters, the sort key key[r].
+	fids  []model.FeatureID
+	cnt   []int64
+	last  []model.Millis
+	score []float64
+	key   []int64
 	width int
 
-	heap []int32
+	rows []int32
 	out  []Feature
+}
 
-	sorter  featureSorter
-	hsorter heapSorter
+// part is one FeatureStats to merge, weighted by its slice's decay.
+type part struct {
+	fs  *model.FeatureStats
+	w   float64
+	end model.Millis
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -235,179 +256,76 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 //ips:hotpath
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// reset prepares the scratch for a run over count vectors of the given
-// width, retaining all backing storage from previous runs.
-//
-//ips:hotpath
-func (sc *Scratch) reset(width int) {
-	if sc.idx == nil {
-		//ipslint:ignore hotpathalloc first use of a scratch builds its index map; reuse clears it in place
-		sc.idx = make(map[model.FeatureID]int32, 64)
-	} else {
-		clear(sc.idx)
-	}
-	sc.feats = sc.feats[:0]
-	sc.arena = sc.arena[:0]
-	sc.width = width
-}
-
-// get returns the Feature accumulating fid, creating it on first sight.
-// The returned pointer is valid until the next get call appends to feats;
-// callers use it immediately.
-//
-//ips:hotpath
-func (sc *Scratch) get(fid model.FeatureID) *Feature {
-	if i, ok := sc.idx[fid]; ok {
-		return &sc.feats[i]
-	}
-	if cap(sc.arena)-len(sc.arena) < sc.width {
-		// Doubling means the newest chunk alone eventually covers a whole
-		// steady-state run, so reuse reaches zero allocations. Vectors
-		// carved from abandoned chunks stay valid — feats still points at
-		// them.
-		grow := 2 * cap(sc.arena)
-		if min := 64 * sc.width; grow < min {
-			grow = min
-		}
-		//ipslint:ignore hotpathalloc arena growth amortizes away under scratch reuse
-		sc.arena = make([]int64, 0, grow)
-	}
-	n := len(sc.arena)
-	sc.arena = sc.arena[:n+sc.width]
-	counts := sc.arena[n : n+sc.width : n+sc.width]
-	clear(counts)
-	sc.idx[fid] = int32(len(sc.feats))
-	sc.feats = append(sc.feats, Feature{FID: fid, Counts: counts})
-	return &sc.feats[len(sc.feats)-1]
-}
-
-// accumulate merges one slice's feature stats for one type into the
-// accumulator with weight w; end stamps recency.
-//
-//ips:hotpath
-func (sc *Scratch) accumulate(schema *model.Schema, fs *model.FeatureStats, w float64, end model.Millis) {
-	for _, st := range fs.View() {
-		f := sc.get(st.FID)
-		for i, c := range st.Counts {
-			if i >= len(f.Counts) {
-				break
-			}
-			f.Counts[i] = schemaReduceMerge(schema, i, f.Counts[i], weighted(c, w))
-		}
-		if end > f.LastSeen {
-			f.LastSeen = end
-		}
-	}
-}
-
-// Run executes the request against the profile at the given query time,
-// holding the profile's read lock for the duration: the head slice is
-// mutable, so reading its feature maps without the lock would race with
-// writers. Keeping writers out of large profiles during queries is
+// RunScratch executes the request against the profile at the given query
+// time, holding the profile's read lock for the duration: the head slice
+// is mutable, so reading its feature maps without the lock would race
+// with writers. Keeping writers out of large profiles during queries is
 // exactly the contention the paper's read-write isolation (§III-F)
 // relieves — with isolation on, online writes land in the small write
-// table instead of these locked main-table profiles.
-//
-// Run allocates fresh result storage per call; latency-critical callers
-// reuse storage via RunScratch.
-func Run(p *model.Profile, schema *model.Schema, req Request, now model.Millis) (Result, error) {
-	var sc Scratch
-	return RunScratch(p, schema, req, now, &sc)
-}
-
-// RunScratch is Run with caller-owned (typically pooled) working storage.
-// The Result aliases sc's storage and is valid until sc's next run.
+// table instead of these locked main-table profiles. The Result aliases
+// sc's storage and is valid until sc's next run.
 //
 //ips:hotpath
 func RunScratch(p *model.Profile, schema *model.Schema, req Request, now model.Millis, sc *Scratch) (Result, error) {
 	p.RLock()
 	defer p.RUnlock()
-	return runOnSlices(p.Slices(), schema, req, now, p.Latest(), sc)
+	return RunSealedScratch(p, schema, req, now, sc)
 }
 
-// RunMany executes several requests against the same profile under a
-// single acquisition of its read lock, at the same query time. This is the
-// engine half of the batch query path: when a batch RPC carries multiple
-// sub-queries for one profile (a ranking request scoring many candidate
-// windows of the same user), the profile is locked and its slice list
-// walked once per request but fetched/pinned only once. Results and errors
-// are per-request, in input order.
-func RunMany(p *model.Profile, schema *model.Schema, reqs []Request, now model.Millis) ([]Result, []error) {
-	results := make([]Result, len(reqs))
-	errs := make([]error, len(reqs))
-	p.RLock()
-	defer p.RUnlock()
-	slices, latest := p.Slices(), p.Latest()
-	for i := range reqs {
-		var sc Scratch
-		results[i], errs[i] = runOnSlices(slices, schema, reqs[i], now, latest, &sc)
-	}
-	return results, errs
-}
-
-// RunSealed is Run for a profile the caller guarantees no writer can
-// reach — GCache's hot read replicas, which are private clones
-// invalidated (never mutated) on write. Skipping the read lock matters
-// precisely where hot replicas are used: thousands of concurrent readers
-// of one Zipf-head profile would otherwise all bounce the same
-// RWMutex reader-count cache line even though none of them blocks.
-func RunSealed(p *model.Profile, schema *model.Schema, req Request, now model.Millis) (Result, error) {
-	var sc Scratch
-	return RunSealedScratch(p, schema, req, now, &sc)
-}
-
-// RunSealedScratch is RunSealed with caller-owned working storage, the
-// zero-allocation fast path for cache-hit reads off hot replicas.
+// RunSealedScratch is RunScratch without the lock, for a profile the
+// caller guarantees no writer can reach: GCache's hot read replica, which
+// is invalidated (never mutated) on write, or a profile whose read lock
+// the caller already holds. Skipping the lock matters where hot replicas
+// are used: concurrent readers of one Zipf-head profile would otherwise
+// all bounce the same RWMutex reader-count cache line.
 //
 //ips:hotpath
 func RunSealedScratch(p *model.Profile, schema *model.Schema, req Request, now model.Millis, sc *Scratch) (Result, error) {
-	return runOnSlices(p.Slices(), schema, req, now, p.Latest(), sc)
+	return sc.run(p.Slices(), schema, req, now, p.Latest())
 }
 
-// RunManySealed is RunMany minus the lock, under the same immutability
-// contract as RunSealed.
-func RunManySealed(p *model.Profile, schema *model.Schema, reqs []Request, now model.Millis) ([]Result, []error) {
-	results := make([]Result, len(reqs))
-	errs := make([]error, len(reqs))
-	slices, latest := p.Slices(), p.Latest()
-	for i := range reqs {
-		var sc Scratch
-		results[i], errs[i] = runOnSlices(slices, schema, reqs[i], now, latest, &sc)
-	}
-	return results, errs
-}
-
-// RunOnSlices executes the request against an explicit slice list (newest
-// first). The caller must guarantee the slices are not concurrently
-// mutated (e.g. by holding the owning profile's read lock, or operating
-// on sealed copies).
-func RunOnSlices(slices []*model.Slice, schema *model.Schema, req Request, now, latest model.Millis) (Result, error) {
-	var sc Scratch
-	return runOnSlices(slices, schema, req, now, latest, &sc)
-}
-
+// run is the kernel: the four steps of §II-B2 over one slice list.
+//
 //ips:hotpath
-func runOnSlices(slices []*model.Slice, schema *model.Schema, req Request, now, latest model.Millis, sc *Scratch) (Result, error) {
+func (sc *Scratch) run(slices []*model.Slice, schema *model.Schema, req Request, now, latest model.Millis) (Result, error) {
 	from, to, err := req.Range.Resolve(now, latest)
 	if err != nil {
 		return Result{}, err
 	}
 	actionIdx := 0
-	if req.SortBy == ByAction {
-		if req.Action != "" {
-			if actionIdx, err = schema.ActionIndex(req.Action); err != nil {
-				return Result{}, err
-			}
+	if req.SortBy == ByAction && req.Action != "" {
+		if actionIdx, err = schema.ActionIndex(req.Action); err != nil {
+			return Result{}, err
 		}
 	}
+	if req.SortBy == ByUDAF && req.UDAF == nil {
+		return Result{}, errUDAFRequired
+	}
+	// Step 1: locate the slices in range. Step 2: multi-way merge and
+	// aggregate through the fid table. Step 3: decay (already in the part
+	// weights) and filters. Step 4: top K, sorted.
+	scanned, stats := sc.locate(slices, req, from, to)
+	sc.width = schema.NumActions()
+	sc.fids, sc.cnt, sc.last = sc.fids[:0], sc.cnt[:0], sc.last[:0]
+	sc.resize(min(stats, maxPresize))
+	sc.merge(schema)
+	sc.filter(req, actionIdx)
+	top := sc.topK(req.K)
+	out := sc.out[:0]
+	for _, r := range top {
+		out = append(out, sc.feature(int(r), req.UDAF != nil))
+	}
+	sc.out = out
+	return Result{Features: out, SlicesScanned: scanned}, nil
+}
 
-	// Step 1 (§II-B2): locate the slices in range. Step 2: multi-way merge
-	// and aggregate over all features under the requested slot. The
-	// accumulator is a flat Feature slice addressed through a fid index
-	// (one map entry, no per-feature pointer), with all count vectors
-	// carved from the scratch's arena.
-	sc.reset(schema.NumActions())
-	scanned := 0
+// locate collects the requested slot's stats from every slice that
+// overlaps [from, to) and carries a nonzero decay weight. It returns the
+// number of overlapping slices and the summed stat count of the parts.
+//
+//ips:hotpath
+func (sc *Scratch) locate(slices []*model.Slice, req Request, from, to model.Millis) (scanned, stats int) {
+	sc.parts = sc.parts[:0]
 	for _, s := range slices {
 		if !s.Overlaps(from, to) {
 			continue
@@ -424,158 +342,245 @@ func runOnSlices(slices []*model.Slice, schema *model.Schema, req Request, now, 
 		end := s.End
 		if req.AllTypes {
 			//ipslint:ignore hotpathalloc all-types fan-out is an analytics shape, off the steady-state topK path
-			set.Each(func(_ model.TypeID, fs *model.FeatureStats) { sc.accumulate(schema, fs, w, end) })
+			set.Each(func(_ model.TypeID, fs *model.FeatureStats) { sc.parts = append(sc.parts, part{fs, w, end}) })
 		} else if fs := set.Get(req.Type); fs != nil {
-			sc.accumulate(schema, fs, w, end)
+			sc.parts = append(sc.parts, part{fs, w, end})
 		}
 	}
-
-	if req.SortBy == ByUDAF && req.UDAF == nil {
-		return Result{}, errUDAFRequired
+	for _, pt := range sc.parts {
+		stats += pt.fs.Len()
 	}
-	feats := sc.feats
-	kept := feats[:0]
-	for i := range feats {
-		f := &feats[i]
-		if req.UDAF != nil {
+	return scanned, stats
+}
+
+// resize sets the fid table to the smallest power of two that holds rows
+// at load ≤ ½, re-indexes the rows already present, and reserves column
+// capacity up to that load so inserts never reallocate.
+//
+//ips:hotpath-trust table and column growth amortize away under scratch reuse
+func (sc *Scratch) resize(rows int) {
+	size := 16
+	for size < 2*rows {
+		size <<= 1
+	}
+	if cap(sc.table) < size {
+		sc.table = make([]int32, size)
+	} else {
+		sc.table = sc.table[:size]
+		clear(sc.table)
+	}
+	sc.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	limit := size / 2
+	if cap(sc.fids) < limit || cap(sc.cnt) < limit*sc.width {
+		sc.fids = append(make([]model.FeatureID, 0, limit), sc.fids...)
+		sc.last = append(make([]model.Millis, 0, limit), sc.last...)
+		sc.cnt = append(make([]int64, 0, limit*sc.width), sc.cnt...)
+		sc.key, sc.score = make([]int64, 0, limit), make([]float64, 0, limit)
+	}
+	for r, fid := range sc.fids {
+		sc.table[sc.probe(fid)] = int32(r + 1)
+	}
+}
+
+// probe returns fid's table slot, or the empty slot where it belongs.
+//
+//ips:hotpath
+func (sc *Scratch) probe(fid model.FeatureID) int {
+	for i := int((fid * 0x9e3779b97f4a7c15) >> sc.shift); ; i = (i + 1) & (len(sc.table) - 1) {
+		if e := sc.table[i]; e == 0 || sc.fids[e-1] == fid {
+			return i
+		}
+	}
+}
+
+// row returns fid's row, adding a zeroed one on first sight, and stamps
+// it with end if that is newer than its last sighting. The table grows
+// before it would pass load ½.
+//
+//ips:hotpath
+func (sc *Scratch) row(fid model.FeatureID, end model.Millis) int {
+	if 2*len(sc.fids) >= len(sc.table) {
+		sc.resize(len(sc.fids) + 1)
+	}
+	i := sc.probe(fid)
+	if sc.table[i] == 0 {
+		sc.table[i] = int32(len(sc.fids) + 1)
+		sc.fids = append(sc.fids, fid)
+		sc.last = append(sc.last, 0)
+		n := len(sc.cnt)
+		sc.cnt = sc.cnt[:n+sc.width]
+		clear(sc.cnt[n:])
+	}
+	r := int(sc.table[i] - 1)
+	if end > sc.last[r] {
+		sc.last[r] = end
+	}
+	return r
+}
+
+// merge aggregates every located part into the row columns. When every
+// reducer is SUM the counts merge in plain add loops, with the unweighted
+// case split out; other schemas merge through schemaReduceMerge.
+//
+//ips:hotpath
+func (sc *Scratch) merge(schema *model.Schema) {
+	sum := true
+	for i := 0; i < sc.width; i++ {
+		sum = sum && reducerOf(schema, i) == model.ReduceSum
+	}
+	for _, pt := range sc.parts {
+		for _, st := range pt.fs.View() {
+			r, src := sc.row(st.FID, pt.end), st.Counts
+			dst := sc.cnt[r*sc.width : (r+1)*sc.width : (r+1)*sc.width]
+			if len(src) > len(dst) {
+				src = src[:len(dst)]
+			}
+			switch {
+			case !sum:
+				for i, c := range src {
+					dst[i] = schemaReduceMerge(schema, i, dst[i], weighted(c, pt.w))
+				}
+			case pt.w == 1:
+				for i, c := range src {
+					dst[i] += c
+				}
+			default:
+				for i, c := range src {
+					dst[i] += weighted(c, pt.w)
+				}
+			}
+		}
+	}
+}
+
+// filter scores every row when the request carries a UDAF, keeps the rows
+// that pass MinScore and the request's filter, and gives each kept row
+// its sort key: a larger key sorts first, equal keys by ascending FID.
+//
+//ips:hotpath
+func (sc *Scratch) filter(req Request, actionIdx int) {
+	n, f, udaf := len(sc.fids), req.Filter, req.UDAF != nil
+	sc.key, sc.score = sc.key[:n], sc.score[:n]
+	rows := sc.rows[:0]
+	for r := 0; r < n; r++ {
+		c := sc.cnt[r*sc.width : (r+1)*sc.width : (r+1)*sc.width]
+		if udaf {
 			//ipslint:ignore hotpathalloc UDAF scoring is a dynamic call by design, off the default topK shape
-			f.Score = req.UDAF(f.Counts)
-			if f.Score < req.MinScore {
+			sc.score[r] = req.UDAF(c)
+			if sc.score[r] < req.MinScore {
 				continue
 			}
 		}
-		if keep(req.Filter, f, actionIdx) {
-			kept = append(kept, *f)
+		if f != nil {
+			if f.MinCount > 0 && (actionIdx >= len(c) || c[actionIdx] < f.MinCount) {
+				continue
+			}
+			if f.FIDs != nil && !f.FIDs[sc.fids[r]] {
+				continue
+			}
+			//ipslint:ignore hotpathalloc user predicates are a dynamic call by design, off the default topK shape
+			if f.Predicate != nil && !f.Predicate(sc.feature(r, udaf)) {
+				continue
+			}
 		}
-	}
-
-	if req.K > 0 && len(kept) > 2*req.K {
-		// Partial selection: keep only the top K via an index heap, then
-		// sort those K — avoids moving full Feature structs through a
-		// complete sort when K << N (the common serving shape).
-		kept = sc.selectTop(kept, req.K, req.SortBy, actionIdx)
-	} else {
-		sc.sorter = featureSorter{feats: kept, by: req.SortBy, actionIdx: actionIdx}
-		sort.Sort(&sc.sorter)
-		sc.sorter.feats = nil
-		if req.K > 0 && len(kept) > req.K {
-			kept = kept[:req.K]
+		var k int64
+		switch req.SortBy {
+		case ByTimestamp:
+			k = sc.last[r]
+		case ByFeatureID:
+		case ByTotal:
+			for _, x := range c {
+				k += x
+			}
+		case ByUDAF:
+			k = scoreKey(sc.score[r])
+		default: // ByAction
+			if actionIdx < len(c) {
+				k = c[actionIdx]
+			}
 		}
+		sc.key[r] = k
+		rows = append(rows, int32(r))
 	}
-	return Result{Features: kept, SlicesScanned: scanned}, nil
+	sc.rows = rows
 }
 
-// selectTop returns the top k features, sorted, using the scratch's heap
-// and output storage. It operates on indices so Feature structs move only
-// once, at the end.
+// scoreKey maps a score onto an int64 with the same order. Adding +0 maps
+// -0 to +0, so equal scores still tie.
 //
 //ips:hotpath
-func (sc *Scratch) selectTop(feats []Feature, k int, by SortBy, actionIdx int) []Feature {
-	// Max-heap of the "weakest" current member at the root: heap[0] is
-	// the element that would be evicted first.
-	heap := sc.heap[:0]
-	for i := range feats {
-		idx := int32(i)
-		if len(heap) < k {
-			heap = append(heap, idx)
-			siftUp(heap, feats, by, actionIdx, len(heap)-1)
-			continue
-		}
-		// Replace the root if the candidate beats the weakest member.
-		if cmpFeatures(by, actionIdx, &feats[idx], &feats[heap[0]]) {
-			heap[0] = idx
-			siftDown(heap, feats, by, actionIdx, 0)
-		}
+func scoreKey(f float64) int64 {
+	k := int64(math.Float64bits(f + 0))
+	if k < 0 {
+		k ^= math.MaxInt64
 	}
-	sc.heap = heap
-	sc.hsorter = heapSorter{heap: heap, feats: feats, by: by, actionIdx: actionIdx}
-	sort.Sort(&sc.hsorter)
-	sc.hsorter = heapSorter{}
-	out := sc.out[:0]
-	for _, idx := range heap {
-		out = append(out, feats[idx])
-	}
-	sc.out = out
-	return out
+	return k
 }
 
-// worse reports whether index i's feature sorts after index j's — i would
-// be evicted from the top-K set before j.
+// below reports whether row a sorts after row b.
 //
 //ips:hotpath
-func worse(feats []Feature, by SortBy, actionIdx int, i, j int32) bool {
-	return cmpFeatures(by, actionIdx, &feats[j], &feats[i])
+func (sc *Scratch) below(a, b int32) bool {
+	if ka, kb := sc.key[a], sc.key[b]; ka != kb {
+		return ka < kb
+	}
+	return sc.fids[a] > sc.fids[b]
 }
 
+// sift restores the heap below i; the heap keeps its lowest-ranked row at
+// the root.
+//
 //ips:hotpath
-func siftDown(heap []int32, feats []Feature, by SortBy, actionIdx, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(heap) && worse(feats, by, actionIdx, heap[l], heap[worst]) {
-			worst = l
+func (sc *Scratch) sift(heap []int32, i int) {
+	for l := 2*i + 1; l < len(heap); l = 2*i + 1 {
+		if l+1 < len(heap) && sc.below(heap[l+1], heap[l]) {
+			l++
 		}
-		if r < len(heap) && worse(feats, by, actionIdx, heap[r], heap[worst]) {
-			worst = r
-		}
-		if worst == i {
+		if !sc.below(heap[l], heap[i]) {
 			return
 		}
-		heap[i], heap[worst] = heap[worst], heap[i]
-		i = worst
+		heap[i], heap[l] = heap[l], heap[i]
+		i = l
 	}
 }
 
+// topK returns the best k kept rows (all of them when k <= 0), best first.
+// A heap of the first k rows admits each later row that beats its root;
+// heapsort then orders the survivors in place.
+//
 //ips:hotpath
-func siftUp(heap []int32, feats []Feature, by SortBy, actionIdx, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !worse(feats, by, actionIdx, heap[i], heap[parent]) {
-			return
-		}
-		heap[i], heap[parent] = heap[parent], heap[i]
-		i = parent
+func (sc *Scratch) topK(k int) []int32 {
+	rows := sc.rows
+	if k <= 0 || k > len(rows) {
+		k = len(rows)
 	}
+	heap := rows[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		sc.sift(heap, i)
+	}
+	for _, r := range rows[k:] {
+		if sc.below(heap[0], r) {
+			heap[0] = r
+			sc.sift(heap, 0)
+		}
+	}
+	for n := k - 1; n > 0; n-- {
+		heap[0], heap[n] = heap[n], heap[0]
+		sc.sift(heap[:n], 0)
+	}
+	return heap
 }
 
-// featureSorter sorts a Feature slice in place under cmpFeatures; a
-// pointer to a scratch-resident instance passes through sort.Sort without
-// boxing allocation.
-type featureSorter struct {
-	feats     []Feature
-	by        SortBy
-	actionIdx int
+// feature returns row r as a Feature whose Counts alias the scratch.
+//
+//ips:hotpath
+func (sc *Scratch) feature(r int, udaf bool) Feature {
+	f := Feature{FID: sc.fids[r], Counts: sc.cnt[r*sc.width : (r+1)*sc.width : (r+1)*sc.width], LastSeen: sc.last[r]}
+	if udaf {
+		f.Score = sc.score[r]
+	}
+	return f
 }
-
-//ips:hotpath
-func (s *featureSorter) Len() int { return len(s.feats) }
-
-//ips:hotpath
-func (s *featureSorter) Less(i, j int) bool {
-	return cmpFeatures(s.by, s.actionIdx, &s.feats[i], &s.feats[j])
-}
-
-//ips:hotpath
-func (s *featureSorter) Swap(i, j int) { s.feats[i], s.feats[j] = s.feats[j], s.feats[i] }
-
-// heapSorter sorts the index heap for final top-K output ordering.
-type heapSorter struct {
-	heap      []int32
-	feats     []Feature
-	by        SortBy
-	actionIdx int
-}
-
-//ips:hotpath
-func (h *heapSorter) Len() int { return len(h.heap) }
-
-//ips:hotpath
-func (h *heapSorter) Less(i, j int) bool {
-	return cmpFeatures(h.by, h.actionIdx, &h.feats[h.heap[i]], &h.feats[h.heap[j]])
-}
-
-//ips:hotpath
-func (h *heapSorter) Swap(i, j int) { h.heap[i], h.heap[j] = h.heap[j], h.heap[i] }
 
 // schemaReduceMerge merges one attribute across slices. Window aggregation
 // honours the schema's reducer so LAST/MAX semantics survive the merge: the
@@ -615,12 +620,18 @@ func reducerOf(s *model.Schema, i int) model.Reduce {
 	return s.Reducers[i]
 }
 
+// weighted scales c by a decay weight w in [0, 1] and rounds half away
+// from zero, as math.Round does, without a branch: the fraction x - t is
+// exact, so 2(x - t) truncates to the -1, 0 or 1 that rounding adds.
+//
 //ips:hotpath
 func weighted(c int64, w float64) int64 {
 	if w == 1 {
 		return c
 	}
-	return int64(math.Round(float64(c) * w))
+	x := float64(c) * w
+	t := int64(x)
+	return t + int64(2*(x-float64(t)))
 }
 
 // decayWeight computes the decay multiplier for a slice inside the window.
@@ -676,79 +687,4 @@ func decayWeight(req Request, s *model.Slice, from, to model.Millis) float64 {
 	default:
 		return 1
 	}
-}
-
-//ips:hotpath
-func keep(f *Filter, feat *Feature, actionIdx int) bool {
-	if f == nil {
-		return true
-	}
-	if f.MinCount > 0 {
-		idx := actionIdx
-		if idx >= len(feat.Counts) {
-			idx = 0
-		}
-		if len(feat.Counts) == 0 || feat.Counts[idx] < f.MinCount {
-			return false
-		}
-	}
-	if f.FIDs != nil && !f.FIDs[feat.FID] {
-		return false
-	}
-	//ipslint:ignore hotpathalloc user predicates are a dynamic call by design, off the default topK shape
-	if f.Predicate != nil && !f.Predicate(*feat) {
-		return false
-	}
-	return true
-}
-
-// cmpFeatures reports whether a comes before b under the sort type; ties
-// break by ascending FID for determinism. A plain function (not a closure
-// factory) keeps the comparison allocation-free on the hot path.
-//
-//ips:hotpath
-func cmpFeatures(by SortBy, actionIdx int, a, b *Feature) bool {
-	switch by {
-	case ByTimestamp:
-		if a.LastSeen != b.LastSeen {
-			return a.LastSeen > b.LastSeen
-		}
-		return a.FID < b.FID
-	case ByFeatureID:
-		return a.FID < b.FID
-	case ByTotal:
-		x, y := total(a), total(b)
-		if x != y {
-			return x > y
-		}
-		return a.FID < b.FID
-	case ByUDAF:
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		return a.FID < b.FID
-	default: // ByAction
-		x, y := count(a, actionIdx), count(b, actionIdx)
-		if x != y {
-			return x > y
-		}
-		return a.FID < b.FID
-	}
-}
-
-//ips:hotpath
-func count(f *Feature, i int) int64 {
-	if i < len(f.Counts) {
-		return f.Counts[i]
-	}
-	return 0
-}
-
-//ips:hotpath
-func total(f *Feature) int64 {
-	var t int64
-	for _, c := range f.Counts {
-		t += c
-	}
-	return t
 }

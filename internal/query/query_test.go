@@ -13,6 +13,12 @@ const (
 	typeBall   model.TypeID = 2
 )
 
+// runQuery runs req through a fresh scratch, so the result is the
+// caller's to keep.
+func runQuery(p *model.Profile, sch *model.Schema, req Request, now model.Millis) (Result, error) {
+	return RunScratch(p, sch, req, now, new(Scratch))
+}
+
 func newProfileWithPaperExample(t *testing.T) (*model.Profile, *model.Schema) {
 	t.Helper()
 	// Reproduce the paper's motivating example (Table I): Alice liked,
@@ -40,7 +46,7 @@ func TestPaperMotivatingExample(t *testing.T) {
 	p, sch := newProfileWithPaperExample(t)
 	const day = 24 * 3600 * 1000
 	const now = 100 * day
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot:   slotSports,
 		Type:   typeBall,
 		Range:  CurrentRange(10*day + 1),
@@ -67,7 +73,7 @@ func TestWindowExcludesOldData(t *testing.T) {
 	const day = 24 * 3600 * 1000
 	const now = 100 * day
 	// A 5-day window must exclude the Lakers row from 10 days ago.
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: slotSports, Type: typeBall,
 		Range: CurrentRange(5 * day), SortBy: ByAction, Action: "like",
 	}, now)
@@ -78,7 +84,7 @@ func TestWindowExcludesOldData(t *testing.T) {
 		t.Fatalf("5-day window = %+v, want only Warriors", res.Features)
 	}
 	// A 30-day window includes both.
-	res, err = Run(p, sch, Request{
+	res, err = runQuery(p, sch, Request{
 		Slot: slotSports, Type: typeBall,
 		Range: CurrentRange(30 * day), SortBy: ByAction, Action: "like",
 	}, now)
@@ -95,7 +101,7 @@ func TestRelativeRange(t *testing.T) {
 	const day = 24 * 3600 * 1000
 	// Relative window of 1 day back from the latest action (2 days ago)
 	// must include only the Warriors row, regardless of "now".
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: slotSports, Type: typeBall,
 		Range: RelativeRange(1 * day), SortBy: ByFeatureID,
 	}, 500*day)
@@ -106,7 +112,7 @@ func TestRelativeRange(t *testing.T) {
 		t.Fatalf("relative window = %+v, want only Warriors", res.Features)
 	}
 	// Relative window of 9 days covers both rows.
-	res, err = Run(p, sch, Request{
+	res, err = runQuery(p, sch, Request{
 		Slot: slotSports, Type: typeBall,
 		Range: RelativeRange(9 * day), SortBy: ByFeatureID,
 	}, 500*day)
@@ -122,7 +128,7 @@ func TestAbsoluteRange(t *testing.T) {
 	p, sch := newProfileWithPaperExample(t)
 	const day = 24 * 3600 * 1000
 	const now = 100 * day
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: slotSports, Type: typeBall,
 		Range:  AbsoluteRange(now-11*day, now-9*day),
 		SortBy: ByFeatureID,
@@ -137,19 +143,19 @@ func TestAbsoluteRange(t *testing.T) {
 
 func TestRangeValidation(t *testing.T) {
 	p, sch := newProfileWithPaperExample(t)
-	if _, err := Run(p, sch, Request{Range: CurrentRange(0)}, 1000); err == nil {
+	if _, err := runQuery(p, sch, Request{Range: CurrentRange(0)}, 1000); err == nil {
 		t.Fatal("zero CURRENT span should error")
 	}
-	if _, err := Run(p, sch, Request{Range: RelativeRange(-5)}, 1000); err == nil {
+	if _, err := runQuery(p, sch, Request{Range: RelativeRange(-5)}, 1000); err == nil {
 		t.Fatal("negative RELATIVE span should error")
 	}
-	if _, err := Run(p, sch, Request{Range: AbsoluteRange(10, 10)}, 1000); err == nil {
+	if _, err := runQuery(p, sch, Request{Range: AbsoluteRange(10, 10)}, 1000); err == nil {
 		t.Fatal("empty ABSOLUTE range should error")
 	}
-	if _, err := Run(p, sch, Request{Range: TimeRange{Kind: RangeKind(9), Span: 1}}, 1000); err == nil {
+	if _, err := runQuery(p, sch, Request{Range: TimeRange{Kind: RangeKind(9), Span: 1}}, 1000); err == nil {
 		t.Fatal("unknown kind should error")
 	}
-	if _, err := Run(p, sch, Request{Range: CurrentRange(100), SortBy: ByAction, Action: "nope"}, 1000); err == nil {
+	if _, err := runQuery(p, sch, Request{Range: CurrentRange(100), SortBy: ByAction, Action: "nope"}, 1000); err == nil {
 		t.Fatal("unknown action should error")
 	}
 }
@@ -165,7 +171,7 @@ func TestTopKOrderingAndTies(t *testing.T) {
 		}
 	}
 	p.Unlock()
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000),
 		SortBy: ByAction, Action: "clicks", K: 4,
 	}, 6000)
@@ -193,7 +199,7 @@ func TestSortByTimestampAndFID(t *testing.T) {
 	_ = p.Add(sch, 3500, 1000, 1, 1, 20, []int64{1})
 	p.Unlock()
 
-	res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByTimestamp}, 4000)
+	res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByTimestamp}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,7 @@ func TestSortByTimestampAndFID(t *testing.T) {
 		t.Fatalf("ByTimestamp order = %v, want [20 10 30]", got)
 	}
 
-	res, err = Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByFeatureID}, 4000)
+	res, err = runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByFeatureID}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +225,7 @@ func TestSortByTotal(t *testing.T) {
 	_ = p.Add(sch, 1500, 1000, 1, 1, 1, []int64{5, 0})
 	_ = p.Add(sch, 1500, 1000, 1, 1, 2, []int64{2, 9})
 	p.Unlock()
-	res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByTotal}, 2000)
+	res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByTotal}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestAllTypesAggregation(t *testing.T) {
 	_ = p.Add(sch, 1500, 1000, 1, 2, 7, []int64{2})  // same fid, other type
 	_ = p.Add(sch, 1500, 1000, 2, 1, 7, []int64{50}) // other slot: excluded
 	p.Unlock()
-	res, err := Run(p, sch, Request{Slot: 1, AllTypes: true, Range: CurrentRange(10_000), SortBy: ByFeatureID}, 2000)
+	res, err := runQuery(p, sch, Request{Slot: 1, AllTypes: true, Range: CurrentRange(10_000), SortBy: ByFeatureID}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +260,7 @@ func TestMultiSliceAggregation(t *testing.T) {
 		_ = p.Add(sch, model.Millis(1000+i*1000+5), 1000, 1, 1, 42, []int64{1})
 	}
 	p.Unlock()
-	res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(100_000), SortBy: ByAction}, 25_000)
+	res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(100_000), SortBy: ByAction}, 25_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +282,7 @@ func TestReduceLastAcrossSlices(t *testing.T) {
 	_ = p.Add(sch, 2500, 1000, 1, 1, 9, []int64{70})
 	_ = p.Add(sch, 3500, 1000, 1, 1, 9, []int64{85})
 	p.Unlock()
-	res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(100_000), SortBy: ByFeatureID}, 4000)
+	res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(100_000), SortBy: ByFeatureID}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +299,7 @@ func TestReduceMaxAcrossSlices(t *testing.T) {
 	_ = p.Add(sch, 2500, 1000, 1, 1, 9, []int64{30})
 	_ = p.Add(sch, 3500, 1000, 1, 1, 9, []int64{20})
 	p.Unlock()
-	res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(100_000), SortBy: ByFeatureID}, 4000)
+	res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(100_000), SortBy: ByFeatureID}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +318,7 @@ func TestDecayExpFavoursRecent(t *testing.T) {
 	p.Unlock()
 
 	// Without decay, the old feature wins.
-	res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByAction}, 10_000)
+	res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByAction}, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +327,7 @@ func TestDecayExpFavoursRecent(t *testing.T) {
 	}
 
 	// With aggressive exponential decay, the recent feature wins.
-	res, err = Run(p, sch, Request{
+	res, err = runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByAction,
 		Decay: DecayExp, DecayFactor: 0.5,
 	}, 10_000)
@@ -340,7 +346,7 @@ func TestDecayStepDropsOld(t *testing.T) {
 	_ = p.Add(sch, 1500, 1000, 1, 1, 1, []int64{10}) // old: ~85% into window
 	_ = p.Add(sch, 9500, 1000, 1, 1, 2, []int64{4})
 	p.Unlock()
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByAction,
 		Decay: DecayStep, DecayFactor: 0.5,
 	}, 10_000)
@@ -358,7 +364,7 @@ func TestDecayLinear(t *testing.T) {
 	p.Lock()
 	_ = p.Add(sch, 9500, 1000, 1, 1, 2, []int64{100})
 	p.Unlock()
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByAction,
 		Decay: DecayLinear, DecayFactor: 1,
 	}, 10_000)
@@ -381,7 +387,7 @@ func TestFilterMinCount(t *testing.T) {
 		_ = p.Add(sch, 1500, 1000, 1, 1, fid, []int64{int64(fid)})
 	}
 	p.Unlock()
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByAction,
 		Filter: &Filter{MinCount: 8},
 	}, 2000)
@@ -401,7 +407,7 @@ func TestFilterFIDsAndPredicate(t *testing.T) {
 		_ = p.Add(sch, 1500, 1000, 1, 1, fid, []int64{int64(fid)})
 	}
 	p.Unlock()
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByFeatureID,
 		Filter: &Filter{
 			FIDs:      map[model.FeatureID]bool{2: true, 4: true, 6: true},
@@ -419,7 +425,7 @@ func TestFilterFIDsAndPredicate(t *testing.T) {
 func TestEmptyProfileQuery(t *testing.T) {
 	sch := model.NewSchema("n")
 	p := model.NewProfile(1)
-	res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(1000)}, 5000)
+	res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: CurrentRange(1000)}, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,12 +449,12 @@ func TestTopKSubsetProperty(t *testing.T) {
 		p.Unlock()
 		k := int(kRaw%12) + 1
 		base := Request{Slot: 1, Type: 1, Range: CurrentRange(60_000), SortBy: ByAction}
-		full, err := Run(p, sch, base, 55_000)
+		full, err := runQuery(p, sch, base, 55_000)
 		if err != nil {
 			return false
 		}
 		base.K = k
-		topk, err := Run(p, sch, base, 55_000)
+		topk, err := runQuery(p, sch, base, 55_000)
 		if err != nil {
 			return false
 		}
@@ -492,7 +498,7 @@ func TestAggregationMatchesBruteForceProperty(t *testing.T) {
 		p.Unlock()
 		from := model.Millis(rng.Intn(50)) * 1000
 		to := from + model.Millis(1+rng.Intn(60))*1000
-		res, err := Run(p, sch, Request{Slot: 1, Type: 1, Range: AbsoluteRange(from, to), SortBy: ByFeatureID}, 0)
+		res, err := runQuery(p, sch, Request{Slot: 1, Type: 1, Range: AbsoluteRange(from, to), SortBy: ByFeatureID}, 0)
 		if err != nil {
 			return false
 		}
@@ -531,10 +537,11 @@ func BenchmarkQueryTopK(b *testing.B) {
 	}
 	p.Unlock()
 	req := Request{Slot: 1, Type: 1, Range: CurrentRange(3_600_000), SortBy: ByAction, Action: "like", K: 20}
+	var sc Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, sch, req, 3_600_000); err != nil {
+		if _, err := RunScratch(p, sch, req, 3_600_000, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,7 +69,7 @@ func TestQueryByUDAF(t *testing.T) {
 	_ = p.Add(sch, 1500, 1000, 1, 1, 200, []int64{2, 3})  // 17 score
 	p.Unlock()
 
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000),
 		SortBy: ByUDAF, UDAF: WeightedSum(1, 5),
 	}, 2000)
@@ -87,7 +87,7 @@ func TestQueryByUDAF(t *testing.T) {
 func TestQueryByUDAFRequiresFunction(t *testing.T) {
 	sch := model.NewSchema("n")
 	p := model.NewProfile(1)
-	if _, err := Run(p, sch, Request{
+	if _, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(1000), SortBy: ByUDAF,
 	}, 2000); err == nil {
 		t.Fatal("ByUDAF without a UDAF should fail")
@@ -104,7 +104,7 @@ func TestQueryMinScore(t *testing.T) {
 
 	reg := NewRegistry()
 	ctr, _ := reg.Lookup("ctr")
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000),
 		SortBy: ByUDAF, UDAF: ctr, MinScore: 0.5,
 	}, 2000)
@@ -123,7 +123,7 @@ func TestUDAFScorePopulatedWithoutUDAFSort(t *testing.T) {
 	p.Lock()
 	_ = p.Add(sch, 1500, 1000, 1, 1, 9, []int64{4})
 	p.Unlock()
-	res, err := Run(p, sch, Request{
+	res, err := runQuery(p, sch, Request{
 		Slot: 1, Type: 1, Range: CurrentRange(10_000),
 		SortBy: ByFeatureID, UDAF: WeightedSum(2),
 	}, 2000)

@@ -17,6 +17,12 @@ import (
 	"ips/internal/wire"
 )
 
+func skipUnderRace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts do not hold")
+	}
+}
+
 // warmQueryPayload builds an instance with one resident profile and
 // returns the service plus an encoded topK request against it.
 func warmQueryPayload(t testing.TB) (*Service, []byte) {
@@ -41,6 +47,7 @@ func warmQueryPayload(t testing.TB) (*Service, []byte) {
 // warm. Warming runs past the hot-slot promotion threshold (default 64
 // reads) so the one-time promotion snapshot happens before measurement.
 func TestServedQueryAllocFree(t *testing.T) {
+	skipUnderRace(t)
 	svc, payload := warmQueryPayload(t)
 	ctx := context.Background()
 	var dst []byte
@@ -97,6 +104,33 @@ func TestQueryScratchAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed QueryInto: %.2f allocs/run, want 0", allocs)
+	}
+}
+
+// queryBatchAllocs is TestQueryBatchAllocs' measured count (60 when each
+// sub-query built its own scratch): the batch's own bookkeeping (results,
+// grouping, workers) plus, per group, its sub-query slice and the copied
+// rows and counts.
+const queryBatchAllocs = 19
+
+// TestQueryBatchAllocs pins the batch executor: three sub-queries over
+// two profiles, each group run on one pooled scratch and copied out.
+func TestQueryBatchAllocs(t *testing.T) {
+	skipUnderRace(t)
+	in, _ := newInstance(t, nil)
+	for id := model.ProfileID(1); id <= 2; id++ {
+		for f := 1; f <= 16; f++ {
+			addOne(t, in, id, 1_000_000_000, model.FeatureID(f), []int64{int64(f), 1})
+		}
+	}
+	subs := []wire.SubQuery{batchSub(1, 10_000, 8), batchSub(1, 10_000, 4), batchSub(2, 10_000, 8)}
+	for i := 0; i < 128; i++ {
+		in.QueryBatch("test", subs)
+	}
+	allocs := testing.AllocsPerRun(200, func() { in.QueryBatch("test", subs) })
+	t.Logf("QueryBatch: %.2f allocs/run", allocs)
+	if allocs > queryBatchAllocs {
+		t.Fatalf("QueryBatch: %.2f allocs/run, pinned at %d", allocs, queryBatchAllocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,9 +24,10 @@ const batchWorkers = 8
 // fails its siblings.
 //
 // Sub-queries are grouped by (table, profile) so each profile is fetched
-// from GCache exactly once and its lock taken once for the whole group
-// (query.RunMany); groups run on a bounded worker pool. Quota is charged
-// per sub-query, exactly as N single calls would be.
+// from GCache exactly once, its lock taken once for the whole group, and
+// the group evaluated on one pooled query scratch (runGroup); groups run
+// on a bounded worker pool. Quota is charged per sub-query, exactly as N
+// single calls would be.
 func (in *Instance) QueryBatch(caller string, subs []wire.SubQuery) []wire.BatchResult {
 	return in.QueryBatchCtx(context.Background(), caller, subs)
 }
@@ -77,6 +79,15 @@ func (in *Instance) QueryBatchCtx(ctx context.Context, caller string, subs []wir
 	return results
 }
 
+// groupQuery is one sub-query of a group: its slot in the batch, the
+// resolved request, and its answer.
+type groupQuery struct {
+	slot int
+	req  query.Request
+	resp wire.QueryResponse
+	err  error
+}
+
 // queryGroup runs one (table, profile) group of a batch. Each goroutine
 // writes only its own disjoint result slots.
 func (in *Instance) queryGroup(ctx context.Context, caller, table string, id model.ProfileID, subs []wire.SubQuery, idxs []int, results []wire.BatchResult) {
@@ -91,17 +102,16 @@ func (in *Instance) queryGroup(ctx context.Context, caller, table string, id mod
 		failAll(err)
 		return
 	}
-	// Hot profiles come back as immutable read replicas, so concurrent
-	// groups for the same Zipf-head profile each compute on their own
-	// slot instead of serializing on one profile lock.
+	// Hot profiles come back as an immutable read replica, so concurrent
+	// groups for the same Zipf-head profile compute without touching the
+	// live profile's lock.
 	p, hit, hot, err := ts.cache.GetForRead(ctx, id)
 	if err != nil {
 		failAll(err)
 		return
 	}
 	// Resolve requests, charging quota per sub-query like the single path.
-	reqs := make([]query.Request, 0, len(idxs))
-	live := make([]int, 0, len(idxs))
+	group := make([]groupQuery, 0, len(idxs))
 	for _, i := range idxs {
 		if err := in.limiter.Allow(caller); err != nil {
 			in.Rejected.Inc()
@@ -117,35 +127,78 @@ func (in *Instance) queryGroup(ctx context.Context, caller, table string, id mod
 			}
 			q.UDAF = fn
 		}
-		reqs = append(reqs, q)
-		live = append(live, i)
+		group = append(group, groupQuery{slot: i, req: q})
 	}
-	var res []query.Result
-	var errs []error
 	if p != nil {
 		csp := trace.StartLeaf(ctx, trace.StageCacheCompute)
+		sc := query.GetScratch()
 		if hot {
-			res, errs = query.RunManySealed(p, ts.schema, reqs, in.clock())
+			runGroup(p, ts.schema, in.clock(), sc, group)
 		} else {
-			res, errs = query.RunMany(p, ts.schema, reqs, in.clock())
+			runGroupLocked(p, ts.schema, in.clock(), sc, group)
 		}
+		query.PutScratch(sc)
 		csp.End()
 	}
 	elapsed := time.Since(start)
-	for j, i := range live {
-		if p != nil && errs[j] != nil {
-			results[i].Err = errs[j].Error()
+	for j := range group {
+		b := &group[j]
+		if b.err != nil {
+			results[b.slot].Err = b.err.Error()
 			continue
 		}
-		resp := &wire.QueryResponse{CacheHit: hit, ServerNanos: elapsed.Nanoseconds()}
-		if p != nil {
-			resp.Features = res[j].Features
-			resp.SlicesScanned = res[j].SlicesScanned
-		}
-		results[i].Resp = resp
+		b.resp.CacheHit, b.resp.ServerNanos = hit, elapsed.Nanoseconds()
+		results[b.slot].Resp = &b.resp
 	}
 	// One latency observation per group (the unit of server work), one
 	// query count per executed sub-query, matching what N singles report.
 	in.QueryLat.Observe(elapsed)
-	in.Queries.Add(int64(len(live)))
+	in.Queries.Add(int64(len(group)))
+}
+
+// runGroupLocked is runGroup under p's read lock, held once for the group.
+func runGroupLocked(p *model.Profile, schema *model.Schema, now model.Millis, sc *query.Scratch, group []groupQuery) {
+	p.RLock()
+	defer p.RUnlock()
+	runGroup(p, schema, now, sc, group)
+}
+
+// runGroup answers every sub-query of a group on sc and copies each
+// result's rows into one Feature slice and one count slice shared by the
+// group, so sc can return to the pool before the responses are encoded.
+// The caller holds p's read lock, or p is an immutable hot replica, so
+// the freshness watermark is read under the same hold as the rows.
+func runGroup(p *model.Profile, schema *model.Schema, now model.Millis, sc *query.Scratch, group []groupQuery) {
+	lsn := maxLSN(p.WalLSN, p.MigLSN)
+	var feats []query.Feature
+	var cnts []int64
+	for j := range group {
+		b := &group[j]
+		res, err := query.RunSealedScratch(p, schema, b.req, now, sc)
+		if err != nil {
+			b.err = err
+			continue
+		}
+		b.resp = wire.QueryResponse{Features: copyRows(&feats, &cnts, res.Features), SlicesScanned: res.SlicesScanned, WalLSN: lsn}
+	}
+}
+
+// copyRows appends copies of rows to *feats and of their count vectors to
+// *cnts, returning the copied rows: they outlive the query scratch the
+// originals alias. A later append that moves either array leaves earlier
+// copies on the old one, which stays valid.
+func copyRows(feats *[]query.Feature, cnts *[]int64, rows []query.Feature) []query.Feature {
+	if len(rows) == 0 {
+		return nil
+	}
+	n := len(*feats)
+	*feats = append(*feats, rows...)
+	*cnts = slices.Grow(*cnts, len(rows)*len(rows[0].Counts))
+	out := (*feats)[n:len(*feats):len(*feats)]
+	for i := range out {
+		c := len(*cnts)
+		*cnts = append(*cnts, out[i].Counts...)
+		out[i].Counts = (*cnts)[c:len(*cnts):len(*cnts)]
+	}
+	return out
 }

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ips/internal/config"
+	"ips/internal/gcache"
+	"ips/internal/kv"
 	"ips/internal/model"
 	"ips/internal/query"
+	"ips/internal/wal"
 	"ips/internal/wire"
 )
 
@@ -146,4 +151,70 @@ func TestQueryBatchOverRPC(t *testing.T) {
 	if resp.Results[1].Err == "" || resp.Results[1].Resp != nil {
 		t.Fatalf("slot 1 = %+v, want error slot", resp.Results[1])
 	}
+}
+
+// TestQueryBatchCarriesWalLSN: a batch sub-result reports the same
+// freshness watermark as the single read of the same profile and
+// request, both when the live profile serves it and when a hot replica
+// does.
+func TestQueryBatchCarriesWalLSN(t *testing.T) {
+	jn, err := wal.Open(filepath.Join(t.TempDir(), "journal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jn.Close() })
+	cfg := config.Default()
+	cfg.WriteIsolation = false
+	cfgs, err := config.NewStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := &simClock{now: 1_000_000_000}
+	in, err := New(Options{
+		Name: "ips-test-0", Store: kv.NewMemory(), Config: cfgs, Clock: clock.Now, Journal: jn,
+		Cache: gcache.Options{HotSlots: 1, HotPromoteAfter: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { in.Close() })
+	if err := in.CreateTable("up", model.NewSchema("like", "share")); err != nil {
+		t.Fatal(err)
+	}
+	for f := 1; f <= 3; f++ {
+		addOne(t, in, 7, clock.Now()-model.Millis(f*1000), model.FeatureID(f), []int64{int64(f), 0})
+	}
+	sub := batchSub(7, 3_600_000, 5)
+	check := func(hot bool) {
+		t.Helper()
+		before, _ := in.CacheStats("up")
+		single, err := in.Query(&sub.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := in.QueryBatch("test", []wire.SubQuery{sub})
+		if res[0].Err != "" {
+			t.Fatal(res[0].Err)
+		}
+		if single.WalLSN == 0 {
+			t.Fatal("a journaled profile's read must report its watermark")
+		}
+		if got := res[0].Resp.WalLSN; got != single.WalLSN {
+			t.Fatalf("hot=%v: batch WalLSN %d, single read %d", hot, got, single.WalLSN)
+		}
+		want := int64(0)
+		if hot {
+			want = 2
+		}
+		if after, _ := in.CacheStats("up"); after.HotHits-before.HotHits != want {
+			t.Fatalf("hot=%v: %d of the 2 reads were served hot", hot, after.HotHits-before.HotHits)
+		}
+	}
+	check(false)
+	for i := 0; i < 16; i++ {
+		if _, err := in.Query(&sub.Query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(true)
 }

@@ -242,15 +242,22 @@ func (in *Instance) Tracer() *trace.Tracer { return in.tracer }
 func (in *Instance) Hub() *sub.Hub { return in.hub }
 
 // subEval is the hub's evaluation callback: one standing-query
-// re-evaluation through the normal read path. The scratch is per-call —
-// the response's feature storage aliases it, and queued updates hold the
-// response long after this returns, so it must never be pooled or
-// reused. Evaluations run under the hub's reserved caller identity
-// (sub.EvalCaller), so operators can quota push-side load like any
-// other caller.
+// re-evaluation through the normal read path on a pooled scratch. Queued
+// updates hold the response long after this returns, so its rows are
+// copied out into one Feature slice and one count slice before the
+// scratch goes back to the pool. Evaluations run under the hub's reserved
+// caller identity (sub.EvalCaller), so operators can quota push-side load
+// like any other caller.
 func (in *Instance) subEval(ctx context.Context, req *wire.QueryRequest, resp *wire.QueryResponse) error {
-	var sc query.Scratch
-	return in.QueryInto(ctx, req, resp, &sc)
+	sc := query.GetScratch()
+	defer query.PutScratch(sc)
+	if err := in.QueryInto(ctx, req, resp, sc); err != nil {
+		return err
+	}
+	var feats []query.Feature
+	var cnts []int64
+	resp.Features = copyRows(&feats, &cnts, resp.Features)
+	return nil
 }
 
 // CreateTable registers a table with the given schema. The head-slice
@@ -672,7 +679,7 @@ func (in *Instance) QueryCtx(ctx context.Context, req *wire.QueryRequest) (*wire
 }
 
 // QueryInto executes a read into resp, using sc for all working storage.
-// resp's feature list and every Counts vector alias sc's arenas: they
+// resp's feature list and every Counts vector alias sc's columns: they
 // are valid until the scratch's next run, which lets the service layer
 // decode, compute, and encode a steady-state cache-hit read with zero
 // heap allocations. resp is reset (capacity preserved) before use.

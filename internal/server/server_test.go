@@ -251,20 +251,36 @@ func TestCompactionTriggeredByWrites(t *testing.T) {
 	in, clock := newInstance(t, func(c *config.Config) {
 		c.PartialCompactThreshold = 8
 	})
-	// Spread writes over many head-width windows to grow the slice list.
+	// Spread writes over 100 distinct head-width windows to grow the slice
+	// list past the threshold.
+	head := in.Config().Get().TimeDimension.HeadWidth()
 	base := clock.Now()
+	windows := make(map[model.Millis]bool)
 	for i := 0; i < 100; i++ {
-		addOne(t, in, 5, base-model.Millis(i)*60_000, 7, []int64{1, 0})
+		ts := base - model.Millis(i)*60_000
+		windows[ts-ts%head] = true
+		addOne(t, in, 5, ts, 7, []int64{1, 0})
 	}
-	// Force synchronous maintenance and verify the slice list shrank.
-	st, err := in.CompactNow("up", 5)
+	if len(windows) != 100 {
+		t.Fatalf("writes covered %d head-width windows, want 100", len(windows))
+	}
+	// The writes woke the background compactor, and CompactNow runs a
+	// synchronous pass; either may do the work, so assert what the two
+	// reach together: fewer slices than windows, and every count intact.
+	if _, err := in.CompactNow("up", 5); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := in.table("up")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SlicesAfter >= st.SlicesBefore && st.SlicesBefore > 8 {
-		t.Fatalf("compaction ineffective: %d -> %d", st.SlicesBefore, st.SlicesAfter)
+	p := ts.main.Get(5)
+	p.RLock()
+	slices := p.NumSlices()
+	p.RUnlock()
+	if slices >= 100 {
+		t.Fatalf("compaction ineffective: %d slices for 100 windows", slices)
 	}
-	// All data still present.
 	resp := topK(t, in, 5, 365*24*3_600_000, 1)
 	if resp.Features[0].Counts[0] != 100 {
 		t.Fatalf("count after compaction = %d, want 100", resp.Features[0].Counts[0])

@@ -26,7 +26,7 @@ type Service struct {
 // queryScratch bundles every reusable piece of the fast read path: the
 // decoded request, the engine's working storage, and the response the
 // engine fills. One pooled struct serves one request at a time; the
-// response's feature vectors alias the scratch arenas, which is safe
+// response's feature vectors alias the scratch columns, which is safe
 // because the handler encodes them into the connection's response
 // buffer before the struct goes back to the pool.
 type queryScratch struct {
@@ -41,7 +41,7 @@ var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 // request storage, execute through pooled engine scratch, append the
 // encoded response into the connection's reusable buffer. The pooled
 // struct recycles as the handler returns — safe because the encode has
-// already copied every feature out of the scratch arenas into dst.
+// already copied every feature out of the scratch columns into dst.
 //
 //ips:hotpath-trust the pool round-trip and deferred put are the pooled-scratch contract; every stage inside is individually hot-checked
 func (s *Service) fastQuery(ctx context.Context, payload, dst []byte) ([]byte, error) {

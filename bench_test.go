@@ -169,24 +169,6 @@ func BenchmarkFig11Truncate(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchVsSingle measures the batched multi-profile query path
-// against sequential single-profile queries for one 32-candidate ranking
-// request (the coalescing claim: S shard RPCs instead of N round trips).
-func BenchmarkBatchVsSingle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.RunBatchVsSingle(bench.BatchOptions{
-			BatchSize: 32, Rounds: 40, Profiles: 300, Instances: 2,
-		}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Speedup, "speedup_x")
-		b.ReportMetric(rep.AvgFanOut, "rpcs_per_batch")
-		b.ReportMetric(float64(rep.BatchAvg.Microseconds()), "batch_us")
-		b.ReportMetric(float64(rep.SinglesAvg.Microseconds()), "singles_us")
-	}
-}
-
 // --- ablation benches -------------------------------------------------
 
 // BenchmarkLRUSharding compares GCache throughput with a single global

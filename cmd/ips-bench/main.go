@@ -23,7 +23,7 @@ type experiment struct {
 }
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (fig16, fig17, tab2, fig18, fig19, iso80, compaction, lambda, batch, tail, recovery, trace, hotkey, migrate, tiered, alloc, sub, fig10, fig11, all)")
+	exp := flag.String("exp", "", "experiment id (fig16, fig17, tab2, fig18, fig19, iso80, compaction, lambda, tail, recovery, hotkey, migrate, tiered, sub, fig10, fig11, all)")
 	full := flag.Bool("full", false, "run the larger, slower parameterization")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
@@ -93,14 +93,6 @@ func main() {
 			_, err := bench.RunLambda(o, os.Stdout)
 			return err
 		}},
-		{"batch", "batched multi-profile query vs sequential singles", func(full bool) error {
-			o := bench.BatchOptions{}
-			if full {
-				o = bench.BatchOptions{BatchSize: 64, Rounds: 200, Profiles: 2000, Instances: 4}
-			}
-			_, err := bench.RunBatchVsSingle(o, os.Stdout)
-			return err
-		}},
 		{"tail", "tail latency with one stalled replica: baseline vs hedged", func(full bool) error {
 			o := bench.TailOptions{}
 			if !full {
@@ -117,18 +109,10 @@ func main() {
 			_, err := bench.RunRecovery(o, os.Stdout)
 			return err
 		}},
-		{"trace", "request-tracing overhead: untraced vs sampled-out vs traced", func(full bool) error {
-			o := bench.TraceOverheadOptions{}
-			if full {
-				o = bench.TraceOverheadOptions{Queries: 12_000, Profiles: 1000}
-			}
-			_, err := bench.RunTraceOverhead(o, os.Stdout)
-			return err
-		}},
-		{"hotkey", "hot-key contention: single-flight, hot slots, batch v2 bytes", func(full bool) error {
+		{"hotkey", "hot-key contention: single-flight, hot slots", func(full bool) error {
 			o := bench.HotkeyOptions{}
 			if full {
-				o = bench.HotkeyOptions{ColdKeys: 64, ReadersPerKey: 16, Readers: 12, ReadsPerReader: 5000, Profiles: 512, BatchRounds: 200}
+				o = bench.HotkeyOptions{ColdKeys: 64, ReadersPerKey: 16, Readers: 12, ReadsPerReader: 5000, Profiles: 512}
 			}
 			_, err := bench.RunHotkey(o, os.Stdout)
 			return err
@@ -139,14 +123,6 @@ func main() {
 				o = bench.MigrateOptions{Instances: 4, Profiles: 1024, SteadyOps: 20000, Workers: 8}
 			}
 			_, err := bench.RunMigrate(o, os.Stdout)
-			return err
-		}},
-		{"alloc", "per-stage allocs/op + ns/op of the hot read path (writes BENCH_alloc.json)", func(full bool) error {
-			o := bench.AllocOptions{}
-			if full {
-				o.Warm = 1024
-			}
-			_, err := bench.RunAlloc(o, os.Stdout)
 			return err
 		}},
 		{"tiered", "tiered cache: hit ratio vs memory per tier (hot/warm/KV)", func(full bool) error {

@@ -244,43 +244,11 @@ func TestRunRecoverySmall(t *testing.T) {
 	}
 }
 
-func TestRunTraceSmall(t *testing.T) {
-	rep, err := RunTraceOverhead(TraceOverheadOptions{Queries: 400, Profiles: 60, BatchSize: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 configurations", len(rep.Rows))
-	}
-	for _, r := range rep.Rows {
-		if r.P50 <= 0 {
-			t.Fatalf("%s: no latency measured: %+v", r.Config, r)
-		}
-	}
-	// The acceptance target is <5%% p50 overhead; CI boxes are noisy at
-	// the tens-of-microseconds scale this measures, so the test only
-	// guards against an order-of-magnitude regression (e.g. tracing
-	// accidentally enabled on the untraced path, or per-span syscalls).
-	if rep.TracedOverheadP50 > 1.0 {
-		t.Fatalf("traced p50 overhead = %+.1f%%, tracing is not low-overhead",
-			100*rep.TracedOverheadP50)
-	}
-	if rep.BatchStages < 5 {
-		t.Fatalf("traced batch attributed %d stages, want >= 5:\n%s",
-			rep.BatchStages, rep.BatchTree)
-	}
-	if !strings.Contains(rep.BatchTree, "client.query") ||
-		!strings.Contains(rep.BatchTree, "server.dispatch") {
-		t.Fatalf("batch tree missing client/server stages:\n%s", rep.BatchTree)
-	}
-}
-
 func TestRunHotkeySmall(t *testing.T) {
 	rep, err := RunHotkey(HotkeyOptions{
 		ColdKeys: 8, ReadersPerKey: 8,
 		Readers: 4, ReadsPerReader: 300, Profiles: 64, WritesPerProfile: 4,
 		HotSlots: 4, HotPromoteAfter: 8,
-		DupFactors: []int{1, 8}, BatchRounds: 5, BatchSize: 16,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -299,13 +267,6 @@ func TestRunHotkeySmall(t *testing.T) {
 		rep.BaseP99, rep.HotP99, rep.HotHits, rep.HotPromotions)
 	if rep.HotPromotions == 0 || rep.HotHits == 0 {
 		t.Fatalf("hot-slot layer never engaged: hits=%d promotions=%d", rep.HotHits, rep.HotPromotions)
-	}
-	// The v2 encoding must beat v1 once duplication is real.
-	for _, d := range rep.Dups {
-		t.Logf("dup %d: v1=%dB v2=%dB reduction=%.1f%%", d.Dup, d.V1BytesPerOp, d.V2BytesPerOp, 100*d.Reduction)
-		if d.Dup >= 8 && d.V2BytesPerOp >= d.V1BytesPerOp {
-			t.Fatalf("dup %d: v2 wire bytes %d not below v1's %d", d.Dup, d.V2BytesPerOp, d.V1BytesPerOp)
-		}
 	}
 }
 

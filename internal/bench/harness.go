@@ -24,7 +24,6 @@ import (
 	"ips/internal/kv"
 	"ips/internal/model"
 	"ips/internal/server"
-	"ips/internal/trace"
 	"ips/internal/wire"
 	"ips/internal/workload"
 )
@@ -83,9 +82,6 @@ type EnvOptions struct {
 	// than assigned to Store.BeforeOp later: the instance's flush loops
 	// read the hook concurrently from the moment the table exists.
 	StoreHook func(op, key string)
-	// Tracer, when set, is shared by the client and the instance so
-	// sampled requests carry spans end to end (the trace experiment).
-	Tracer *trace.Tracer
 }
 
 // TableName is the table every experiment uses.
@@ -119,7 +115,6 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 		Config: cfgStore,
 		Clock:  clock.Now,
 		Cache:  opts.Cache,
-		Tracer: opts.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -140,7 +135,6 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 	cl, err := client.New(client.Options{
 		Caller: "bench", Service: "ips", Region: "local",
 		Registry: reg, CallTimeout: 5 * time.Second,
-		Tracer: opts.Tracer,
 	})
 	if err != nil {
 		_ = svc.Close()

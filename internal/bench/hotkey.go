@@ -1,7 +1,6 @@
-// Hot-key contention experiment (batch architecture v2): quantifies the
-// three server-side defenses against Zipf-headed read storms —
-// single-flight cache fills, replicated hot-profile read slots, and the
-// shared-structure batch response encoding.
+// Hot-key contention experiment (batch architecture v2): quantifies two
+// server-side defenses against Zipf-headed read storms — single-flight
+// cache fills and replicated hot-profile read slots.
 package bench
 
 import (
@@ -11,14 +10,12 @@ import (
 	"sync"
 	"time"
 
-	"ips/internal/client"
 	"ips/internal/config"
 	"ips/internal/gcache"
 	"ips/internal/kv"
 	"ips/internal/model"
 	"ips/internal/persist"
 	"ips/internal/query"
-	"ips/internal/rpc"
 	"ips/internal/wire"
 )
 
@@ -35,8 +32,7 @@ type HotkeyOptions struct {
 	Readers int
 	// ReadsPerReader is each reader's operation count; default 2000.
 	ReadsPerReader int
-	// Profiles is the keyspace of the hot-slot and batch phases; default
-	// 256.
+	// Profiles is the keyspace of the hot-slot phase; default 256.
 	Profiles int
 	// WritesPerProfile seeds history; default 48 (rich profiles so
 	// responses carry a realistic feature count).
@@ -44,13 +40,6 @@ type HotkeyOptions struct {
 	// HotSlots / HotPromoteAfter configure the treatment cache; defaults
 	// 8 and 16.
 	HotSlots, HotPromoteAfter int
-	// DupFactors are the batch duplication factors compared in the wire
-	// phase; default {1, 8, 64}.
-	DupFactors []int
-	// BatchRounds is the batch RPCs per (dup, encoding) cell; default 50.
-	BatchRounds int
-	// BatchSize is the sub-queries per batch; default 64.
-	BatchSize int
 }
 
 func (o *HotkeyOptions) fill() {
@@ -81,26 +70,9 @@ func (o *HotkeyOptions) fill() {
 		// common path.
 		o.HotPromoteAfter = 32
 	}
-	if len(o.DupFactors) == 0 {
-		o.DupFactors = []int{1, 8, 64}
-	}
-	if o.BatchRounds <= 0 {
-		o.BatchRounds = 50
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
-	}
 }
 
-// HotkeyDup is the wire-bytes comparison at one duplication factor.
-type HotkeyDup struct {
-	Dup          int
-	V1BytesPerOp int64 // total wire bytes per batch round, v1 encoding
-	V2BytesPerOp int64 // same, shared-structure v2
-	Reduction    float64
-}
-
-// HotkeyReport is the measured result of all three phases.
+// HotkeyReport is the measured result of both phases.
 type HotkeyReport struct {
 	// Phase A: single-flight.
 	ColdKeys          int
@@ -113,19 +85,13 @@ type HotkeyReport struct {
 	HotAvg, HotP99   time.Duration // HotSlots on
 	HotHits          int64
 	HotPromotions    int64
-
-	// Phase C: batch wire bytes, v1 vs v2, per duplication factor.
-	Dups []HotkeyDup
 }
 
-// RunHotkey measures batch architecture v2 end to end. Phase A storms
+// RunHotkey measures the hot-key defenses end to end. Phase A storms
 // cold keys through a deliberately slow store and counts KV reads per
 // key — single-flight makes it exactly one however many readers collide.
 // Phase B aims a Zipf-headed read storm with interleaved writes at one
 // instance twice — hot slots off, then on — and compares read p99.
-// Phase C issues identical batches over loopback RPC under the v1 and v2
-// response encodings at increasing duplication factors and compares
-// total wire bytes per request.
 func RunHotkey(opts HotkeyOptions, w io.Writer) (*HotkeyReport, error) {
 	opts.fill()
 	rep := &HotkeyReport{ColdKeys: opts.ColdKeys}
@@ -136,9 +102,6 @@ func RunHotkey(opts HotkeyOptions, w io.Writer) (*HotkeyReport, error) {
 	if err := runHotkeySlots(opts, rep); err != nil {
 		return nil, err
 	}
-	if err := runHotkeyWire(opts, rep); err != nil {
-		return nil, err
-	}
 
 	fprintf(w, "Hot-key contention — batch architecture v2\n\n")
 	fprintf(w, "single-flight: %d cold keys x %d concurrent readers -> %.2f KV reads/key (%d loads shared)\n",
@@ -147,13 +110,8 @@ func RunHotkey(opts HotkeyOptions, w io.Writer) (*HotkeyReport, error) {
 	fprintf(w, "%-22s %-12s %-12s\n", "mode", "avg", "p99")
 	fprintf(w, "%-22s %-12s %-12s\n", "baseline (0 slots)", ms(rep.BaseAvg), ms(rep.BaseP99))
 	fprintf(w, "%-22s %-12s %-12s  hits=%d promotions=%d\n", "hot slots", ms(rep.HotAvg), ms(rep.HotP99), rep.HotHits, rep.HotPromotions)
-	fprintf(w, "\nbatch wire bytes per %d-sub-query request (v1 vs shared-structure v2):\n", opts.BatchSize)
-	fprintf(w, "%-8s %-12s %-12s %-10s\n", "dup", "v1 bytes", "v2 bytes", "reduction")
-	for _, d := range rep.Dups {
-		fprintf(w, "%-8d %-12d %-12d %.1f%%\n", d.Dup, d.V1BytesPerOp, d.V2BytesPerOp, 100*d.Reduction)
-	}
 	fprintf(w, "\nshape: one KV read per cold key regardless of reader count; hot-slot p99 at or\n")
-	fprintf(w, "below baseline under contention; v2 bytes shrink with the duplication factor\n")
+	fprintf(w, "below baseline under contention\n")
 	return rep, nil
 }
 
@@ -294,7 +252,7 @@ func runHotkeySlots(opts HotkeyOptions, rep *HotkeyReport) error {
 						id = model.ProfileID((i*7+r)%opts.Profiles + 1)
 					}
 					t0 := time.Now()
-					if _, err := env.Instance.QueryCtx(context.Background(), hotkeyQuery(id)); err != nil {
+					if _, err := env.Instance.Query(hotkeyQuery(id)); err != nil {
 						errCh <- err
 						return
 					}
@@ -367,92 +325,4 @@ func exactMeanP99(samples []time.Duration) (mean, p99 time.Duration) {
 		sum += d
 	}
 	return sum / time.Duration(len(sorted)), sorted[len(sorted)*99/100]
-}
-
-// runHotkeyWire is phase C: identical batches over loopback RPC, v1 vs
-// v2 response encoding, at increasing duplication factors; compares
-// total wire bytes (requests are identical, so the delta is the
-// response encoding).
-func runHotkeyWire(opts HotkeyOptions, rep *HotkeyReport) error {
-	env, err := NewEnv(EnvOptions{Cache: gcache.Options{HotSlots: opts.HotSlots, HotPromoteAfter: opts.HotPromoteAfter}})
-	if err != nil {
-		return err
-	}
-	defer env.Close()
-	if err := env.Prefill(opts.Profiles, opts.WritesPerProfile, 24*3_600_000); err != nil {
-		return err
-	}
-	// Give the queried profiles a realistic feature breadth (the
-	// generator's Zipf feature draw collapses onto a few FIDs): 40
-	// distinct features matching the benchmark query, so each response
-	// carries ranker-sized payloads.
-	for id := model.ProfileID(1); id <= model.ProfileID(opts.BatchSize); id++ {
-		entries := make([]wire.AddEntry, 40)
-		for j := range entries {
-			entries[j] = wire.AddEntry{
-				Timestamp: env.Clock.Now() - model.Millis(j+1)*60_000,
-				Slot:      1, Type: 1,
-				FID: model.FeatureID(100 + j), Counts: []int64{int64(j + 1), 1, 0},
-			}
-		}
-		if err := env.Instance.Add("bench", TableName, id, entries); err != nil {
-			return err
-		}
-	}
-	env.Instance.MergeAll()
-
-	v1c, err := client.New(client.Options{
-		Caller: "bench", Service: "ips", Region: "local",
-		Registry: env.Registry, CallTimeout: 5 * time.Second,
-		BatchV1: true,
-	})
-	if err != nil {
-		return err
-	}
-	defer v1c.Close()
-	v1c.RefreshNow()
-	env.Client.RefreshNow()
-
-	for _, dup := range opts.DupFactors {
-		distinct := opts.BatchSize / dup
-		if distinct < 1 {
-			distinct = 1
-		}
-		subs := make([]wire.SubQuery, 0, distinct*dup)
-		for d := 0; d < distinct; d++ {
-			q := hotkeyQuery(model.ProfileID(d + 1))
-			for k := 0; k < dup; k++ {
-				subs = append(subs, wire.SubQuery{Op: wire.OpTopK, Query: *q})
-			}
-		}
-		measure := func(c *client.Client) (int64, error) {
-			if _, err := c.QueryBatch(subs); err != nil { // warm
-				return 0, err
-			}
-			before := rpc.IOStats()
-			for r := 0; r < opts.BatchRounds; r++ {
-				if _, err := c.QueryBatch(subs); err != nil {
-					return 0, err
-				}
-			}
-			delta := rpc.IOStats().Sub(before)
-			// Client and server share the process, so BytesWritten counts
-			// each frame once (request by the client, response by the
-			// server): total wire bytes per round.
-			return int64(delta.BytesWritten) / int64(opts.BatchRounds), nil
-		}
-		v1b, err := measure(v1c)
-		if err != nil {
-			return err
-		}
-		v2b, err := measure(env.Client)
-		if err != nil {
-			return err
-		}
-		rep.Dups = append(rep.Dups, HotkeyDup{
-			Dup: dup, V1BytesPerOp: v1b, V2BytesPerOp: v2b,
-			Reduction: 1 - float64(v2b)/float64(v1b),
-		})
-	}
-	return nil
 }

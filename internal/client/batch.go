@@ -51,26 +51,6 @@ type batchTarget struct {
 	conn         *rpc.Client
 }
 
-// batchMethod picks the batch read method: shared-structure v2 by
-// default, legacy v1 when Options.BatchV1 is set. The request payload is
-// identical either way; only the response encoding differs.
-func (c *Client) batchMethod() string {
-	if c.opts.BatchV1 {
-		return wire.MethodQueryBatch
-	}
-	return wire.MethodQueryBatchV2
-}
-
-// decodeBatch parses a batch response in whichever encoding this client
-// requested. V2 slots that referenced the same blob share one decoded
-// *QueryResponse — batch results are read-only, so sharing is safe.
-func (c *Client) decodeBatch(raw []byte) (*wire.BatchQueryResponse, error) {
-	if c.opts.BatchV1 {
-		return wire.DecodeQueryBatchResponse(raw)
-	}
-	return wire.DecodeQueryBatchResponseV2(raw)
-}
-
 // groupOutcome is the result of one (possibly hedged) batch-group RPC.
 type groupOutcome struct {
 	raw       []byte
@@ -86,7 +66,7 @@ func (c *Client) groupCall(ctx context.Context, tgt batchTarget, alt *batchTarge
 	if c.Breaker != nil && !c.Breaker.Allow(tgt.addr) {
 		return groupOutcome{err: ErrBreakerOpen}
 	}
-	r := race{c: c, ctx: ctx, method: c.batchMethod(), payload: payload}
+	r := race{c: c, ctx: ctx, method: wire.MethodQueryBatchV2, payload: payload}
 	issue := func(t batchTarget, k attemptKind) error {
 		if hook := c.OnBatchCall; hook != nil {
 			hook(t.region, t.addr, subQueries)
@@ -146,7 +126,7 @@ func (c *Client) groupCall(ctx context.Context, tgt batchTarget, alt *batchTarge
 // QueryBatch executes N sub-queries (any mix of topK / filter / decay) and
 // returns their responses in input order. Sub-queries are grouped by
 // owning shard via the hash ring and each (region, shard) group travels in
-// ONE ips.query_batch RPC, issued in parallel — a ranking request for
+// ONE ips.query_batch2 RPC, issued in parallel — a ranking request for
 // hundreds of candidates costs S RPCs for S shards touched instead of N.
 //
 // Failover is per shard group with partial-result semantics: when a group
@@ -271,7 +251,10 @@ func (c *Client) QueryBatchCtx(ctx context.Context, subs []wire.SubQuery) ([]*wi
 					outs[gi] = rpcOut{err: out.err, attempted: out.attempted}
 					return
 				}
-				resp, err := c.decodeBatch(out.raw)
+				// Slots that referenced the same blob share one decoded
+				// *QueryResponse; batch results are read-only, so
+				// sharing is safe.
+				resp, err := wire.DecodeQueryBatchResponseV2(out.raw)
 				outs[gi] = rpcOut{resp: resp, err: err, attempted: out.attempted}
 			}(gi, tgt, idxs)
 		}
@@ -300,7 +283,7 @@ func (c *Client) QueryBatchCtx(ctx context.Context, subs []wire.SubQuery) ([]*wi
 			for j, i := range idxs {
 				br := o.resp.Results[j]
 				if br.Err != "" {
-					subErrs[i] = &rpc.RemoteError{Method: c.batchMethod(), Msg: br.Err}
+					subErrs[i] = &rpc.RemoteError{Method: wire.MethodQueryBatchV2, Msg: br.Err}
 					next = append(next, i)
 					continue
 				}

@@ -105,14 +105,6 @@ type Options struct {
 	// Seed makes backoff jitter deterministic; 0 seeds from the clock.
 	Seed int64
 
-	// BatchV1 forces batch reads onto the legacy ips.query_batch response
-	// encoding (one embedded QueryResponse per slot). The default is the
-	// shared-structure v2 encoding, which carries each distinct response
-	// once — at high duplication factors that is most of the batch's
-	// bytes. Flip this only to talk to pre-v2 servers or to A/B the
-	// encodings (ips-bench -exp hotkey does).
-	BatchV1 bool
-
 	// Tracer, when set, samples requests end to end: the client opens the
 	// root span, every attempt (primary / retry / hedge) gets its own
 	// span, and spans the server ships back in traced responses are
@@ -142,7 +134,7 @@ type Client struct {
 	QueryLat  metrics.Histogram
 	WriteLat  metrics.Histogram
 
-	// Batch-path metrics (ips.query_batch): the distribution of batch
+	// Batch-path metrics (ips.query_batch2): the distribution of batch
 	// sizes, the shard fan-out of the most recent batch's first round,
 	// total batch RPCs issued, and batches that finished with failed
 	// slots.

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,8 +23,11 @@ import (
 //
 //   - trace.Validate holds: unique non-zero IDs, no orphans, every
 //     child's interval nests inside its parent's;
-//   - the root is the client.query span and server-side spans hang under
-//     an rpc.roundtrip span, i.e. span identity survived the RPC hop;
+//   - the root is the client.query span, and at least one server.dispatch
+//     span is present with every one hanging under an rpc.roundtrip span,
+//     i.e. the server's spans were grafted back with their identity;
+//   - a traced batch attributes its latency to at least five distinct
+//     stages;
 //   - with hedging disabled every request's stages run sequentially, so
 //     each parent's direct children sum to at most the parent's own
 //     duration (plus scheduling slack).
@@ -76,7 +80,7 @@ func TestTracedSpanTreesWellFormed(t *testing.T) {
 	// millisecond absorbs scheduler noise without masking real breakage.
 	const slack = time.Millisecond
 
-	checkTree := func(tr *trace.Trace, sequential bool) string {
+	checkTree := func(tr *trace.Trace, batch bool) string {
 		spans := tr.Spans()
 		if len(spans) == 0 {
 			return "sampled trace has no spans"
@@ -85,9 +89,11 @@ func TestTracedSpanTreesWellFormed(t *testing.T) {
 			return err.Error()
 		}
 		byID := make(map[uint64]trace.Span, len(spans))
-		roots := 0
+		stages := make(map[trace.Stage]bool)
+		roots, dispatches := 0, 0
 		for _, sp := range spans {
 			byID[sp.ID] = sp
+			stages[sp.Stage] = true
 		}
 		for _, sp := range spans {
 			if sp.Parent == 0 {
@@ -101,12 +107,19 @@ func TestTracedSpanTreesWellFormed(t *testing.T) {
 				if !ok || par.Stage != trace.StageRPCRoundtrip {
 					return "server.dispatch not parented under rpc.roundtrip: hop lost span identity"
 				}
+				dispatches++
 			}
 		}
 		if roots != 1 {
 			return "trace has more than one root"
 		}
-		if sequential {
+		if dispatches == 0 {
+			return "no server.dispatch span: the server's spans were not grafted"
+		}
+		if batch && len(stages) < 5 {
+			return fmt.Sprintf("traced batch attributed %d distinct stages, want >= 5", len(stages))
+		}
+		if !batch {
 			durs := trace.ChildSums(spans)
 			for parent, sum := range durs {
 				if par, ok := byID[parent]; ok && sum > par.Dur+slack {
@@ -136,7 +149,7 @@ func TestTracedSpanTreesWellFormed(t *testing.T) {
 			t.Logf("seed %d: no sampled trace despite SampleEvery=1", s)
 			return false
 		}
-		if msg := checkTree(tr, true); msg != "" {
+		if msg := checkTree(tr, false); msg != "" {
 			var b strings.Builder
 			trace.RenderTree(&b, tr.ID, tr.Spans())
 			t.Logf("seed %d single: %s\n%s", s, msg, b.String())
@@ -156,7 +169,7 @@ func TestTracedSpanTreesWellFormed(t *testing.T) {
 			return false
 		}
 		tr = tracer.LastSampled()
-		if msg := checkTree(tr, false); msg != "" {
+		if msg := checkTree(tr, true); msg != "" {
 			var b strings.Builder
 			trace.RenderTree(&b, tr.ID, tr.Spans())
 			t.Logf("seed %d batch: %s\n%s", s, msg, b.String())

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -360,168 +358,4 @@ func (h *IntHist) Reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
 	h.max.Store(0)
-}
-
-// Meter measures event rates over a sliding window, used for QPS-style
-// series (Figs 16 and 19).
-type Meter struct {
-	mu     sync.Mutex
-	window time.Duration
-	events []meterPoint
-	now    func() time.Time
-}
-
-type meterPoint struct {
-	t time.Time
-	n int64
-}
-
-// NewMeter creates a meter with the given sliding window.
-func NewMeter(window time.Duration) *Meter {
-	return &Meter{window: window, now: time.Now}
-}
-
-// Mark records n events at the current time.
-func (m *Meter) Mark(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.now()
-	m.events = append(m.events, meterPoint{now, n})
-	m.trimLocked(now)
-}
-
-// Rate returns events per second over the window.
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.now()
-	m.trimLocked(now)
-	var total int64
-	for _, e := range m.events {
-		total += e.n
-	}
-	return float64(total) / m.window.Seconds()
-}
-
-func (m *Meter) trimLocked(now time.Time) {
-	cutoff := now.Add(-m.window)
-	i := sort.Search(len(m.events), func(i int) bool { return m.events[i].t.After(cutoff) })
-	if i > 0 {
-		m.events = append(m.events[:0], m.events[i:]...)
-	}
-}
-
-// Registry is a named collection of metrics, one per IPS instance, so the
-// harness and the server's stats endpoint can enumerate them.
-type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	ratios     map[string]*Ratio
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		ratios:     make(map[string]*Ratio),
-	}
-}
-
-// Counter returns the counter registered under name, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
-}
-
-// Histogram returns the histogram registered under name, creating it if
-// needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.histograms[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.histograms[name]; ok {
-		return h
-	}
-	h = &Histogram{}
-	r.histograms[name] = h
-	return h
-}
-
-// Ratio returns the ratio registered under name, creating it if needed.
-func (r *Registry) Ratio(name string) *Ratio {
-	r.mu.RLock()
-	x, ok := r.ratios[name]
-	r.mu.RUnlock()
-	if ok {
-		return x
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if x, ok = r.ratios[name]; ok {
-		return x
-	}
-	x = &Ratio{}
-	r.ratios[name] = x
-	return x
-}
-
-// Names returns the sorted names of all registered metrics, prefixed with
-// their kind.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for n := range r.counters {
-		out = append(out, "counter/"+n)
-	}
-	for n := range r.gauges {
-		out = append(out, "gauge/"+n)
-	}
-	for n := range r.histograms {
-		out = append(out, "histogram/"+n)
-	}
-	for n := range r.ratios {
-		out = append(out, "ratio/"+n)
-	}
-	sort.Strings(out)
-	return out
 }

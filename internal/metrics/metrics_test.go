@@ -240,68 +240,3 @@ func TestSnapshotStringEmpty(t *testing.T) {
 		t.Fatalf("empty snapshot = %q, must not render quantiles", got)
 	}
 }
-
-func TestMeterRate(t *testing.T) {
-	m := NewMeter(time.Second)
-	base := time.Unix(1000, 0)
-	now := base
-	m.now = func() time.Time { return now }
-
-	m.Mark(100)
-	now = base.Add(500 * time.Millisecond)
-	m.Mark(100)
-	if got := m.Rate(); math.Abs(got-200) > 1e-6 {
-		t.Fatalf("rate = %v, want 200", got)
-	}
-	// Advance past the window: first mark ages out.
-	now = base.Add(1100 * time.Millisecond)
-	if got := m.Rate(); math.Abs(got-100) > 1e-6 {
-		t.Fatalf("rate after aging = %v, want 100", got)
-	}
-	// Advance far: everything ages out.
-	now = base.Add(time.Minute)
-	if got := m.Rate(); got != 0 {
-		t.Fatalf("rate after full aging = %v, want 0", got)
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	c1 := r.Counter("queries")
-	c2 := r.Counter("queries")
-	if c1 != c2 {
-		t.Fatal("Counter should return the same instance for the same name")
-	}
-	r.Gauge("mem")
-	r.Histogram("lat")
-	r.Ratio("hit")
-	names := r.Names()
-	want := []string{"counter/queries", "gauge/mem", "histogram/lat", "ratio/hit"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				r.Counter("c").Inc()
-				r.Histogram("h").Observe(time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("c").Value(); got != 800 {
-		t.Fatalf("counter = %d, want 800", got)
-	}
-}

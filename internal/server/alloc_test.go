@@ -142,7 +142,7 @@ func TestWireCodecAllocFree(t *testing.T) {
 	if err := wire.DecodeQueryInto(payload, &req, &svc.interner); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := svc.in.QueryCtx(context.Background(), &req)
+	resp, err := svc.in.Query(&req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,11 +131,11 @@ func TestQueryBatchOverRPC(t *testing.T) {
 		{Query: wire.QueryRequest{Caller: "test", Table: "ghost", ProfileID: 7,
 			RangeKind: query.Current, Span: 1000}},
 	}}
-	raw, err := c.Call(wire.MethodQueryBatch, wire.EncodeQueryBatch(req))
+	raw, err := c.Call(wire.MethodQueryBatchV2, wire.EncodeQueryBatch(req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.DecodeQueryBatchResponse(raw)
+	resp, err := wire.DecodeQueryBatchResponseV2(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

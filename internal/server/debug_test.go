@@ -61,12 +61,13 @@ func runTraced(t testing.TB, in *Instance, clock *simClock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = in.QueryCtx(ctx, &wire.QueryRequest{
+	var sc query.Scratch
+	err = in.QueryInto(ctx, &wire.QueryRequest{
 		Caller: "test", Table: "up", ProfileID: 7,
 		Slot: 1, Type: 1,
 		RangeKind: query.Current, Span: 60_000,
 		SortBy: query.ByAction, Action: "like", K: 10,
-	})
+	}, &wire.QueryResponse{}, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -659,20 +659,13 @@ func (in *Instance) maybeCompact(ts *tableState, id model.ProfileID) {
 }
 
 // Query executes a read (§II-B2). The method semantics (topK / filter /
-// decay) are fully described by the request itself.
+// decay) are fully described by the request itself. The returned response
+// is freshly allocated and caller-owned; the zero-allocation, traced form
+// is QueryInto.
 func (in *Instance) Query(req *wire.QueryRequest) (*wire.QueryResponse, error) {
-	return in.QueryCtx(context.Background(), req)
-}
-
-// QueryCtx is Query with a request context carrying the request's trace,
-// if sampled: the cache lookup (hit/miss flagged, storage read broken
-// out) and the feature computation get their own spans. The returned
-// response is freshly allocated and caller-owned; the zero-allocation
-// form is QueryInto.
-func (in *Instance) QueryCtx(ctx context.Context, req *wire.QueryRequest) (*wire.QueryResponse, error) {
 	resp := &wire.QueryResponse{}
 	var sc query.Scratch
-	if err := in.QueryInto(ctx, req, resp, &sc); err != nil {
+	if err := in.QueryInto(context.Background(), req, resp, &sc); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -682,7 +675,10 @@ func (in *Instance) QueryCtx(ctx context.Context, req *wire.QueryRequest) (*wire
 // resp's feature list and every Counts vector alias sc's columns: they
 // are valid until the scratch's next run, which lets the service layer
 // decode, compute, and encode a steady-state cache-hit read with zero
-// heap allocations. resp is reset (capacity preserved) before use.
+// heap allocations. resp is reset (capacity preserved) before use. ctx
+// carries the request's trace, if sampled: the cache lookup (hit/miss
+// flagged, storage read broken out) and the feature computation get
+// their own spans.
 //
 //ips:hotpath
 func (in *Instance) QueryInto(ctx context.Context, req *wire.QueryRequest, resp *wire.QueryResponse, sc *query.Scratch) error {

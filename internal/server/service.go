@@ -146,18 +146,9 @@ func (s *Service) register() {
 	s.srv.HandleFast(wire.MethodFilter, s.fastQuery)
 	s.srv.HandleFast(wire.MethodDecay, s.fastQuery)
 
-	s.srv.HandleCtx(wire.MethodQueryBatch, func(ctx context.Context, payload []byte) ([]byte, error) {
-		req, err := wire.DecodeQueryBatch(payload)
-		if err != nil {
-			return nil, err
-		}
-		resp := &wire.BatchQueryResponse{Results: s.in.QueryBatchCtx(ctx, req.Caller, req.Subs)}
-		return wire.EncodeQueryBatchResponse(resp), nil
-	})
-
-	// Batch v2: identical request payload, shared-structure response —
-	// each distinct response body is encoded once and duplicate slots
-	// carry references (DESIGN.md "Batch v2").
+	// The batch read answers with a shared-structure response: each
+	// distinct response body is encoded once and duplicate slots carry
+	// references (DESIGN.md "Batch v2").
 	s.srv.HandleCtx(wire.MethodQueryBatchV2, func(ctx context.Context, payload []byte) ([]byte, error) {
 		req, err := wire.DecodeQueryBatch(payload)
 		if err != nil {

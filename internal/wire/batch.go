@@ -4,13 +4,6 @@ import (
 	"ips/internal/codec"
 )
 
-// MethodQueryBatch carries N independent sub-queries (any mix of topK /
-// filter / decay semantics) in one RPC. Ranking requests need features for
-// hundreds of candidates per user request (§II, §IV); batching turns N
-// per-profile round trips into one per owning instance, which is the
-// dominant tail-latency lever for that workload.
-const MethodQueryBatch = "ips.query_batch"
-
 // BatchOp names the read semantics of one sub-query, mirroring the three
 // single-query methods. The server resolves semantics from the request
 // fields themselves (exactly as the single-query handlers do), so Op is
@@ -42,9 +35,14 @@ type SubQuery struct {
 	Query QueryRequest
 }
 
-// BatchQueryRequest is the ips.query_batch request payload. The top-level
-// Caller applies to every sub-query (one upstream application issues the
-// whole batch); per-sub Caller fields are ignored by the server.
+// BatchQueryRequest is the batch read request payload: N independent
+// sub-queries (any mix of topK / filter / decay semantics) in one RPC.
+// Ranking requests need features for hundreds of candidates per user
+// request (§II, §IV); batching turns N per-profile round trips into one
+// per owning instance, the dominant tail-latency lever for that workload.
+// The top-level Caller applies to every sub-query (one upstream
+// application issues the whole batch); per-sub Caller fields are ignored
+// by the server.
 type BatchQueryRequest struct {
 	Caller string
 	Subs   []SubQuery
@@ -72,11 +70,6 @@ const (
 
 	fSubOp    = 1
 	fSubQuery = 2
-
-	fBRResult = 1
-
-	fBRErr  = 1
-	fBRResp = 2
 )
 
 // EncodeQueryBatch serializes a BatchQueryRequest. Each sub-query embeds
@@ -159,86 +152,4 @@ func decodeSubQuery(rd *codec.Reader) (SubQuery, error) {
 		}
 	}
 	return sq, nil
-}
-
-// EncodeQueryBatchResponse serializes a BatchQueryResponse. The response
-// field is only written for successful slots, so a decoded failure keeps
-// Resp == nil.
-func EncodeQueryBatchResponse(r *BatchQueryResponse) []byte {
-	var e codec.Buffer
-	for i := range r.Results {
-		br := &r.Results[i]
-		e.Message(fBRResult, func(b *codec.Buffer) {
-			b.String(fBRErr, br.Err)
-			if br.Resp != nil {
-				b.Raw(fBRResp, EncodeQueryResponse(br.Resp))
-			}
-		})
-	}
-	return append([]byte(nil), e.Bytes()...)
-}
-
-// DecodeQueryBatchResponse parses a BatchQueryResponse.
-func DecodeQueryBatchResponse(data []byte) (*BatchQueryResponse, error) {
-	r := &BatchQueryResponse{}
-	rd := codec.NewReader(data)
-	for !rd.Done() {
-		f, wt, err := rd.Next()
-		if err != nil {
-			return nil, decodeErr("batch resp", err)
-		}
-		switch f {
-		case fBRResult:
-			sub, err := rd.Message()
-			if err != nil {
-				return nil, decodeErr("batch result", err)
-			}
-			br, err := decodeBatchResult(sub)
-			if err != nil {
-				return nil, err
-			}
-			r.Results = append(r.Results, br)
-		default:
-			if err := rd.Skip(wt); err != nil {
-				return nil, decodeErr("batch resp skip", err)
-			}
-		}
-	}
-	return r, nil
-}
-
-func decodeBatchResult(rd *codec.Reader) (BatchResult, error) {
-	var br BatchResult
-	for !rd.Done() {
-		f, wt, err := rd.Next()
-		if err != nil {
-			return br, decodeErr("result field", err)
-		}
-		switch f {
-		case fBRErr:
-			if br.Err, err = rd.String(); err != nil {
-				return br, decodeErr("result err", err)
-			}
-		case fBRResp:
-			raw, err := rd.Bytes()
-			if err != nil {
-				return br, decodeErr("result resp", err)
-			}
-			resp, err := DecodeQueryResponse(raw)
-			if err != nil {
-				return br, err
-			}
-			br.Resp = resp
-		default:
-			if err := rd.Skip(wt); err != nil {
-				return br, decodeErr("result skip", err)
-			}
-		}
-	}
-	// Enforce the slot invariant on arbitrary input: a failed slot never
-	// carries a response.
-	if br.Err != "" {
-		br.Resp = nil
-	}
-	return br, nil
 }

@@ -6,15 +6,14 @@ import (
 	"ips/internal/codec"
 )
 
-// MethodQueryBatchV2 is the shared-structure batch read (batch
-// architecture v2, part c). The request payload is identical to
-// ips.query_batch; only the response encoding differs: instead of
-// embedding one QueryResponse per slot, the server encodes each DISTINCT
-// response once in a blob pool and each slot carries a small reference
-// into it. Ranking batches at high duplication factors (many sub-queries
-// scoring windows of the same hot profile) ask the same question many
-// times and get the same answer — v2 pays the codec CPU and wire bytes
-// for that answer once.
+// MethodQueryBatchV2 is the batch read: a BatchQueryRequest in, a
+// shared-structure BatchQueryResponse out. Instead of embedding one
+// QueryResponse per slot, the server encodes each DISTINCT response once
+// in a blob pool and each slot carries a small reference into it. Ranking
+// batches at high duplication factors (many sub-queries scoring windows
+// of the same hot profile) ask the same question many times and get the
+// same answer — the encoding pays the codec CPU and wire bytes for that
+// answer once.
 const MethodQueryBatchV2 = "ips.query_batch2"
 
 // Field numbers for the v2 batch response.
@@ -36,7 +35,7 @@ const (
 // shared-structure encoding: each distinct response body is encoded and
 // written once, and duplicate slots cost one varint reference each.
 // Distinctness is judged on the encoded bytes, so two slots share a blob
-// exactly when the v1 encoding would have carried identical copies.
+// exactly when their responses encode identically.
 func EncodeQueryBatchResponseV2(r *BatchQueryResponse) []byte {
 	var e codec.Buffer
 	refs := make([]uint32, len(r.Results))
@@ -74,9 +73,8 @@ func EncodeQueryBatchResponseV2(r *BatchQueryResponse) []byte {
 // decoded *QueryResponse, so callers must treat batch results as
 // read-only (the client does). A reference past the blob pool is a
 // decode error — references are resolved after the full frame is read,
-// so blob/result field order does not matter on hostile input. The
-// failed-slot invariant of v1 holds here too: a slot with a non-empty
-// Err never carries a response, whatever its ref says.
+// so blob/result field order does not matter on hostile input. A slot
+// with a non-empty Err never carries a response, whatever its ref says.
 func DecodeQueryBatchResponseV2(data []byte) (*BatchQueryResponse, error) {
 	var blobs [][]byte
 	type rawResult struct {

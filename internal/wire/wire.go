@@ -7,7 +7,9 @@
 //	ips.topk             — get_profile_topK
 //	ips.filter           — get_profile_filter
 //	ips.decay            — get_profile_decay
-//	ips.query_batch      — coalesced multi-profile reads (batch.go)
+//	ips.query_batch2     — coalesced multi-profile reads with a
+//	                       shared-structure response (batch.go,
+//	                       batchv2.go)
 //	ips.sub.watch        — continuous-query stream (sub.go); the one
 //	                       stream-kind method: updates are pushed, not
 //	                       polled, over the rpc package's stream frames

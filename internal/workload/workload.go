@@ -102,11 +102,6 @@ func (g *Generator) ProfileID() model.ProfileID {
 	return g.zipfP.Uint64() + 1
 }
 
-// UniformProfileID draws uniformly, for cache-adversarial scans.
-func (g *Generator) UniformProfileID() model.ProfileID {
-	return uint64(g.rng.Int63n(int64(g.opts.Profiles))) + 1
-}
-
 // FeatureID draws a Zipf-popular feature.
 func (g *Generator) FeatureID() model.FeatureID {
 	return g.zipfF.Uint64() + 1

@@ -23,7 +23,7 @@ type experiment struct {
 }
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (fig16, fig17, tab2, fig18, fig19, iso80, compaction, lambda, tail, recovery, hotkey, migrate, tiered, sub, fig10, fig11, all)")
+	exp := flag.String("exp", "", "experiment id (fig16, fig17, tab2, fig18, fig19, iso80, compaction, lambda, migrate, sub, fig10, fig11, all)")
 	full := flag.Bool("full", false, "run the larger, slower parameterization")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
@@ -93,30 +93,6 @@ func main() {
 			_, err := bench.RunLambda(o, os.Stdout)
 			return err
 		}},
-		{"tail", "tail latency with one stalled replica: baseline vs hedged", func(full bool) error {
-			o := bench.TailOptions{}
-			if !full {
-				o = bench.TailOptions{Requests: 600, Profiles: 120}
-			}
-			_, err := bench.RunTailLatency(o, os.Stdout)
-			return err
-		}},
-		{"recovery", "journal write amplification on Add + recovery time vs dirty-set size", func(full bool) error {
-			o := bench.RecoveryOptions{}
-			if !full {
-				o = bench.RecoveryOptions{Profiles: 100, AddsPerProfile: 20, DirtySweep: []int{100, 400, 1000}}
-			}
-			_, err := bench.RunRecovery(o, os.Stdout)
-			return err
-		}},
-		{"hotkey", "hot-key contention: single-flight, hot slots", func(full bool) error {
-			o := bench.HotkeyOptions{}
-			if full {
-				o = bench.HotkeyOptions{ColdKeys: 64, ReadersPerKey: 16, Readers: 12, ReadsPerReader: 5000, Profiles: 512}
-			}
-			_, err := bench.RunHotkey(o, os.Stdout)
-			return err
-		}},
 		{"migrate", "read p99 during live resharding (join + drain) vs steady state", func(full bool) error {
 			o := bench.MigrateOptions{}
 			if full {
@@ -125,18 +101,7 @@ func main() {
 			_, err := bench.RunMigrate(o, os.Stdout)
 			return err
 		}},
-		{"tiered", "tiered cache: hit ratio vs memory per tier (hot/warm/KV)", func(full bool) error {
-			o := bench.TieredOptions{}
-			if !full {
-				o = bench.TieredOptions{
-					MemLimits: []int64{128 << 10, 256 << 10, 512 << 10, 1 << 20},
-					Profiles:  2000, Ticks: 6, RequestsPerTick: 800,
-				}
-			}
-			_, err := bench.RunTiered(o, os.Stdout)
-			return err
-		}},
-		{"sub", "continuous queries: push vs poll update propagation at 10k standing queries (writes BENCH_sub.json)", func(full bool) error {
+		{"sub", "continuous queries: push vs poll update propagation at 10k standing queries", func(full bool) error {
 			o := bench.SubscribeOptions{}
 			if !full {
 				o = bench.SubscribeOptions{Events: 120, ChurnPerEvent: 8}

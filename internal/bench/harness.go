@@ -14,6 +14,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 
@@ -77,11 +78,6 @@ type EnvOptions struct {
 	// StoreDelay injects latency into every KV operation, modelling the
 	// HBase round trip behind cache misses (Table II).
 	StoreDelay time.Duration
-	// StoreHook, when set, replaces the StoreDelay sleep with an
-	// arbitrary per-operation hook. It must be installed here rather
-	// than assigned to Store.BeforeOp later: the instance's flush loops
-	// read the hook concurrently from the moment the table exists.
-	StoreHook func(op, key string)
 }
 
 // TableName is the table every experiment uses.
@@ -94,9 +90,7 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 	}
 	clock := NewClock()
 	store := kv.NewMemory()
-	if opts.StoreHook != nil {
-		store.BeforeOp = opts.StoreHook
-	} else if opts.StoreDelay > 0 {
+	if opts.StoreDelay > 0 {
 		d := opts.StoreDelay
 		store.BeforeOp = func(op, key string) { time.Sleep(d) }
 	}
@@ -188,4 +182,25 @@ func fprintf(w io.Writer, format string, args ...any) {
 // ms renders a duration in fractional milliseconds.
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d.Nanoseconds())/1e6)
+}
+
+// median returns the middle value of an odd-length sample set.
+func median(ds []time.Duration) time.Duration {
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted[len(sorted)/2]
+}
+
+// exactMeanP99 computes the mean and the exact (sorted-sample) p99.
+func exactMeanP99(samples []time.Duration) (mean, p99 time.Duration) {
+	if len(samples) == 0 {
+		return 0, 0
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum time.Duration
+	for _, d := range sorted {
+		sum += d
+	}
+	return sum / time.Duration(len(sorted)), sorted[len(sorted)*99/100]
 }

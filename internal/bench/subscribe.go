@@ -31,11 +31,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +69,6 @@ type SubscribeOptions struct {
 	Timeout time.Duration
 	// Seed fixes the churn randomness; default 1.
 	Seed int64
-	// OutPath is where the JSON artifact lands; default BENCH_sub.json.
-	OutPath string
 }
 
 func (o *SubscribeOptions) fill() {
@@ -102,51 +98,38 @@ func (o *SubscribeOptions) fill() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.OutPath == "" {
-		o.OutPath = "BENCH_sub.json"
-	}
 }
 
-// SubscribeReport is the artifact written to BENCH_sub.json.
+// SubscribeReport is the measured result of both phases.
 type SubscribeReport struct {
-	Queries        int     `json:"standing_queries"`
-	Events         int     `json:"events"`
-	Measured       int     `json:"measured_profiles"`
-	PollIntervalMs float64 `json:"poll_interval_ms"`
+	Queries      int
+	Events       int
+	Measured     int
+	PollInterval time.Duration
 
-	// SetupMs is open-10k-streams to every baseline delivered.
-	SetupMs float64 `json:"setup_ms"`
+	// Setup is open-10k-streams to every baseline delivered.
+	Setup time.Duration
 
-	PushP50 time.Duration `json:"-"`
-	PushP99 time.Duration `json:"-"`
-	PollP50 time.Duration `json:"-"`
-	PollP99 time.Duration `json:"-"`
-
-	PushP50Ms float64 `json:"push_p50_ms"`
-	PushP99Ms float64 `json:"push_p99_ms"`
-	PollP50Ms float64 `json:"poll_p50_ms"`
-	PollP99Ms float64 `json:"poll_p99_ms"`
+	PushP50, PushP99 time.Duration
+	PollP50, PollP99 time.Duration
 
 	// PushEvals counts standing-query evaluations during the push
 	// window; PollEquivReadsPerSec is what equal-freshness polling
 	// would cost across every standing query, forever.
-	PushEvals            int64   `json:"push_evals"`
-	PushWindowMs         float64 `json:"push_window_ms"`
-	PollReads            int64   `json:"poll_reads"`
-	PollWindowMs         float64 `json:"poll_window_ms"`
-	PollEquivReadsPerSec float64 `json:"poll_equiv_reads_per_sec"`
+	PushEvals            int64
+	PushWindow           time.Duration
+	PollReads            int64
+	PollWindow           time.Duration
+	PollEquivReadsPerSec float64
 
 	// Hub counters over the whole run (OPERATIONS.md sub_* catalog).
-	Pushes  int64 `json:"pushes"`
-	Drops   int64 `json:"drops"`
-	Resyncs int64 `json:"resyncs"`
-	Skips   int64 `json:"skips"`
+	Pushes, Drops, Resyncs, Skips int64
 
 	// Conservation: Lost counts tagged writes never observed within the
 	// timeout; SeqGaps counts per-stream sequence discontinuities. Both
 	// must be zero.
-	Lost    int `json:"lost"`
-	SeqGaps int `json:"seq_gaps"`
+	Lost    int
+	SeqGaps int
 }
 
 // tagObserver matches pushed or polled results against the one
@@ -196,7 +179,7 @@ func (o *tagObserver) observe(pid model.ProfileID, features []query.Feature, now
 const tagFIDBase = 1 << 40
 
 // RunSubscribe measures push vs poll update propagation at 10k standing
-// queries and writes BENCH_sub.json.
+// queries.
 func RunSubscribe(opts SubscribeOptions, w io.Writer) (*SubscribeReport, error) {
 	opts.fill()
 	cfg := config.Default()
@@ -214,7 +197,7 @@ func RunSubscribe(opts SubscribeOptions, w io.Writer) (*SubscribeReport, error) 
 
 	rep := &SubscribeReport{
 		Queries: opts.Queries, Events: opts.Events, Measured: opts.Measured,
-		PollIntervalMs:       float64(opts.PollInterval) / 1e6,
+		PollInterval:         opts.PollInterval,
 		PollEquivReadsPerSec: float64(opts.Queries) / opts.PollInterval.Seconds(),
 	}
 
@@ -282,7 +265,7 @@ func RunSubscribe(opts SubscribeOptions, w io.Writer) (*SubscribeReport, error) 
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rep.SetupMs = float64(time.Since(setupStart)) / 1e6
+	rep.Setup = time.Since(setupStart)
 
 	// Measured events cycle over profiles 1..Measured; churn lands on the
 	// rest so it never races a pending tag.
@@ -339,7 +322,7 @@ func RunSubscribe(opts SubscribeOptions, w io.Writer) (*SubscribeReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	rep.PushWindowMs = float64(time.Since(pushStart)) / 1e6
+	rep.PushWindow = time.Since(pushStart)
 	rep.PushEvals = hub.Evals.Value() - evalsBefore
 
 	// --- poll phase: same tagged events, observed by poll loops; the 10k
@@ -382,7 +365,7 @@ func RunSubscribe(opts SubscribeOptions, w io.Writer) (*SubscribeReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	rep.PollWindowMs = float64(time.Since(pollStart)) / 1e6
+	rep.PollWindow = time.Since(pollStart)
 	rep.PollReads = pollReads.Load()
 
 	rep.Lost = pushLost + pollLost
@@ -399,38 +382,19 @@ func RunSubscribe(opts SubscribeOptions, w io.Writer) (*SubscribeReport, error) 
 		_, rep.PollP99 = exactMeanP99(pollSamples)
 		rep.PollP50 = median(pollSamples)
 	}
-	rep.PushP50Ms = float64(rep.PushP50) / 1e6
-	rep.PushP99Ms = float64(rep.PushP99) / 1e6
-	rep.PollP50Ms = float64(rep.PollP50) / 1e6
-	rep.PollP99Ms = float64(rep.PollP99) / 1e6
-
-	f, err := os.Create(opts.OutPath)
-	if err != nil {
-		return nil, err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		_ = f.Close() // encode error wins; close error on the error path is noise
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
 
 	fprintf(w, "continuous queries vs polling: %d standing queries over loopback RPC streams\n", rep.Queries)
-	fprintf(w, "setup: %d subscriptions baselined in %s\n", rep.Queries, ms(time.Duration(rep.SetupMs*1e6)))
+	fprintf(w, "setup: %d subscriptions baselined in %s\n", rep.Queries, ms(rep.Setup))
 	fprintf(w, "push:       p50 %s  p99 %s  (%d events; write issued -> pushed update decoded)\n",
 		ms(rep.PushP50), ms(rep.PushP99), len(pushSamples))
 	fprintf(w, "poll(%v):  p50 %s  p99 %s  (%d events; write issued -> next poll observes it)\n",
 		opts.PollInterval, ms(rep.PollP50), ms(rep.PollP99), len(pollSamples))
 	fprintf(w, "cost: push ran %d evals in its %s window; equal-freshness polling needs %.0f reads/s across %d queries (measured poll loops issued %d reads over %d profiles)\n",
-		rep.PushEvals, ms(time.Duration(rep.PushWindowMs*1e6)),
+		rep.PushEvals, ms(rep.PushWindow),
 		rep.PollEquivReadsPerSec, rep.Queries, rep.PollReads, rep.Measured)
 	fprintf(w, "hub: pushes=%d drops=%d resyncs=%d skips=%d; lost=%d seq_gaps=%d\n",
 		rep.Pushes, rep.Drops, rep.Resyncs, rep.Skips, rep.Lost, rep.SeqGaps)
 	fprintf(w, "shape: pushed updates arrive event-driven while a poll loop pays ~interval/2 median staleness; the hub evaluates only changed profiles, polling pays N/T reads/s regardless of write rate\n")
-	fprintf(w, "wrote %s\n", opts.OutPath)
 
 	if rep.Lost > 0 {
 		return rep, fmt.Errorf("bench: %d tagged writes never observed (conservation broken)", rep.Lost)

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"testing"
+	"time"
 
 	"ips/internal/discovery"
 	"ips/internal/model"
@@ -38,7 +39,10 @@ func skipUnderRace(t *testing.T) {
 func TestClientTopKAllocs(t *testing.T) {
 	skipUnderRace(t)
 	cl, clock := newCluster(t, []string{"east"}, 2)
-	c := newResilientClient(t, cl, Options{Region: "east"})
+	// A fixed hedge delay no GC pause reaches: the adaptive delay floors
+	// at 1ms, so a pause during AllocsPerRun would fire a hedge. The
+	// timer is still armed and pooled on every read.
+	c := newResilientClient(t, cl, Options{Region: "east", HedgeDelay: time.Second})
 	now := clock.Now()
 	const id = model.ProfileID(11)
 	for fid := model.FeatureID(1); fid <= 12; fid++ {

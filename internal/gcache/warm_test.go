@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"ips/internal/kv"
 	"ips/internal/model"
+	"ips/internal/persist"
 )
 
 // checkTierAccounting cross-checks every byte counter against a walk of
@@ -145,6 +147,57 @@ func TestWarmTierEvictsToKV(t *testing.T) {
 		t.Fatal("fill through an enabled warm tier must count the miss")
 	}
 	checkTierAccounting(t, g, tbl)
+}
+
+// TestLargerMemLimitMoreHits pins the tiered cache's scaling shape: the
+// same seeded Zipf read sequence over persisted profiles, replayed
+// single-threaded at a small and a large decoded budget (warm tier fixed),
+// gets strictly more decoded-tier hits and no more storage loads at the
+// larger budget.
+func TestLargerMemLimitMoreHits(t *testing.T) {
+	const profiles = 400
+	store := kv.NewMemory()
+	schema := model.NewSchema("like", "share")
+	for id := model.ProfileID(1); id <= profiles; id++ {
+		seedProfile(t, store, schema, id)
+	}
+	newCold := func(opts Options) *GCache {
+		g, err := New(model.NewTable("t", schema, 1000), persist.New(store, "t"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	p, _, err := newCold(Options{}).Get(1)
+	if err != nil || p == nil {
+		t.Fatalf("probe load: %v", err)
+	}
+	p.RLock()
+	size := p.MemSize()
+	p.RUnlock()
+
+	run := func(memLimit int64) (hits, loads int64) {
+		g := newCold(Options{MemLimit: memLimit, WarmLimit: 16 * size})
+		zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, profiles-1)
+		for i := 0; i < 4000; i++ {
+			if _, _, err := g.Get(model.ProfileID(zipf.Uint64() + 1)); err != nil {
+				t.Fatal(err)
+			}
+			if i%16 == 15 {
+				g.EvictToWatermark()
+			}
+		}
+		return g.Stats().Hits, g.Loads.Value()
+	}
+	smallHits, smallLoads := run(16 * size)
+	bigHits, bigLoads := run(128 * size)
+	t.Logf("hits %d -> %d, loads %d -> %d", smallHits, bigHits, smallLoads, bigLoads)
+	if bigHits <= smallHits {
+		t.Fatalf("hits did not grow with MemLimit: %d -> %d", smallHits, bigHits)
+	}
+	if bigLoads > smallLoads {
+		t.Fatalf("storage loads grew with MemLimit: %d -> %d", smallLoads, bigLoads)
+	}
 }
 
 // TestWarmPurgedOnWrite pins tier exclusivity on the write path: writing

@@ -216,10 +216,6 @@ func (h *Histogram) P95() time.Duration { return h.Quantile(0.95) }
 // P99 is shorthand for Quantile(0.99).
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// P999 is shorthand for Quantile(0.999), the deep-tail quantile the
-// tail-latency experiment reports.
-func (h *Histogram) P999() time.Duration { return h.Quantile(0.999) }
-
 // Reset clears all recorded observations.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {

@@ -2,6 +2,7 @@ package client
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -261,6 +262,16 @@ func TestRetryBudgetDeniesUnderTotalOutage(t *testing.T) {
 	checkAttemptIdentity(t, c)
 }
 
+// pooledConnsUp reports whether the process runs exactly want client read
+// loops and want server connection loops, and no client dial.
+func pooledConnsUp(want int) bool {
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(stacks, "rpc.(*clientConn).readLoop(") == want &&
+		strings.Count(stacks, "rpc.(*Server).serveConn(") == want &&
+		!strings.Contains(stacks, "rpc.(*Client).dial(")
+}
+
 // TestHedgeLoserStillFeedsBreaker: the primary is blackholed (the server
 // computes but never answers), the hedge wins, and the read returns long
 // before the primary's call timeout. Nobody is waiting on the primary any
@@ -295,6 +306,17 @@ func TestHedgeLoserStillFeedsBreaker(t *testing.T) {
 		if _, err := c.TopK(queryReq(id)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The first call to each node tops its pool up with a background dial,
+	// and the server accepts every connection on a goroutine of its own:
+	// the baseline waits until both ends of every pooled connection are up
+	// (rpc.NewClient pools two per node) and no dial is in flight.
+	// Otherwise it can miss a goroutine that settles during the hedged read.
+	for deadline := time.Now().Add(5 * time.Second); !pooledConnsUp(2 * len(cl.Nodes())); {
+		if time.Now().After(deadline) {
+			t.Fatal("the warm-up's pooled connections never came up")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	baseline := runtime.NumGoroutine()
 
@@ -335,7 +357,9 @@ func TestHedgeLoserStillFeedsBreaker(t *testing.T) {
 	checkAttemptIdentity(t, c)
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before the hedged read, %d after it settled", baseline, runtime.NumGoroutine())
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines: %d before the hedged read, %d after it settled:\n%s",
+				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -399,8 +399,10 @@ func TestCompactorAsync(t *testing.T) {
 	const day = 24 * 3600 * 1000
 	now := model.Millis(40 * day)
 	c := NewCompactor(sch, store, func() model.Millis { return now })
-	c.Start()
 
+	// Every request is queued before the workers start: a worker that
+	// dequeued a profile before its duplicate arrived would run it twice,
+	// so coalescing is deterministic only while nothing drains the queue.
 	profiles := make([]*model.Profile, 20)
 	for i := range profiles {
 		p := model.NewProfile(model.ProfileID(i))
@@ -413,6 +415,7 @@ func TestCompactorAsync(t *testing.T) {
 		c.Enqueue(p)
 		c.Enqueue(p) // duplicate: must coalesce
 	}
+	c.Start()
 	c.Close()
 
 	if got := c.Runs.Value(); got != 20 {

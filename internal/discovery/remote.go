@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -101,7 +102,7 @@ func (s *Server) Listen(addr string) (string, error) { return s.srv.Listen(addr)
 func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) register() {
-	s.srv.Handle(methodRegister, func(payload []byte) ([]byte, error) {
+	s.srv.Handle(methodRegister, func(_ context.Context, payload, _ []byte) ([]byte, error) {
 		in, err := decodeInstance(codec.NewReader(payload))
 		if err != nil {
 			return nil, err
@@ -109,7 +110,7 @@ func (s *Server) register() {
 		s.reg.Register(in)
 		return nil, nil
 	})
-	s.srv.Handle(methodDeregister, func(payload []byte) ([]byte, error) {
+	s.srv.Handle(methodDeregister, func(_ context.Context, payload, _ []byte) ([]byte, error) {
 		in, err := decodeInstance(codec.NewReader(payload))
 		if err != nil {
 			return nil, err
@@ -117,7 +118,7 @@ func (s *Server) register() {
 		s.reg.Deregister(in.Service, in.Addr)
 		return nil, nil
 	})
-	s.srv.Handle(methodLookup, func(payload []byte) ([]byte, error) {
+	s.srv.Handle(methodLookup, func(_ context.Context, payload, _ []byte) ([]byte, error) {
 		r := codec.NewReader(payload)
 		service := ""
 		for !r.Done() {

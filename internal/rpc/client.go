@@ -110,7 +110,7 @@ func (c *Client) Addr() string { return c.addr }
 // Call issues method with payload and waits for the response, applying the
 // default call timeout.
 func (c *Client) Call(method string, payload []byte) ([]byte, error) {
-	return c.call(context.Background(), method, payload, nil, c.CallTimeout)
+	return c.call(context.Background(), method, payload, nil)
 }
 
 // CallCtx is Call with a request context. When ctx carries a sampled
@@ -118,12 +118,7 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 // the trace and ships its spans back, which are grafted under this
 // call's rpc.roundtrip span.
 func (c *Client) CallCtx(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	return c.call(ctx, method, payload, nil, c.CallTimeout)
-}
-
-// CallTimeoutT issues a call with an explicit timeout.
-func (c *Client) CallTimeoutT(method string, payload []byte, timeout time.Duration) ([]byte, error) {
-	return c.call(context.Background(), method, payload, nil, timeout)
+	return c.call(ctx, method, payload, nil)
 }
 
 // CallAppendCtx issues method and appends the response payload into dst,
@@ -131,14 +126,14 @@ func (c *Client) CallTimeoutT(method string, payload []byte, timeout time.Durati
 // roundtrip (frame encode, response read, rendezvous) allocates nothing
 // in the steady state. A nil dst hands the caller a freshly owned slice.
 func (c *Client) CallAppendCtx(ctx context.Context, method string, payload, dst []byte) ([]byte, error) {
-	return c.call(ctx, method, payload, dst, c.CallTimeout)
+	return c.call(ctx, method, payload, dst)
 }
 
 // call is the blocking form of the one call path: start, wait, finish.
 //
 //ips:hotpath
-func (c *Client) call(ctx context.Context, method string, payload, dst []byte, timeout time.Duration) ([]byte, error) {
-	call, err := c.start(ctx, method, payload, timeout)
+func (c *Client) call(ctx context.Context, method string, payload, dst []byte) ([]byte, error) {
+	call, err := c.Start(ctx, method, payload)
 	if err != nil {
 		return dst, err
 	}
@@ -155,11 +150,6 @@ func (c *Client) call(ctx context.Context, method string, payload, dst []byte, t
 //
 //ips:hotpath
 func (c *Client) Start(ctx context.Context, method string, payload []byte) (*Call, error) {
-	return c.start(ctx, method, payload, c.CallTimeout)
-}
-
-//ips:hotpath
-func (c *Client) start(ctx context.Context, method string, payload []byte, timeout time.Duration) (*Call, error) {
 	cc, err := c.pick(ctx)
 	if err != nil {
 		return nil, err
@@ -177,7 +167,7 @@ func (c *Client) start(ctx context.Context, method string, payload []byte, timeo
 		call.release()
 		return nil, ErrClosed
 	}
-	if timeout > 0 {
+	if timeout := c.CallTimeout; timeout > 0 {
 		call.timer.Reset(timeout)
 		call.armed = true
 	}

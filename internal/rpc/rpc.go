@@ -42,14 +42,18 @@
 // form batches — N frames per write and per read in both
 // directions — without any caller waiting on a timer.
 //
-// The server runs fast handlers (HandleFast) inline on the connection's
-// read loop and queues their responses; it flushes when the reader has no
-// complete frame left, before running the next buffered request once the
-// oldest unflushed response has been held for flushAge, and from a timer
-// when a handler outlasts flushAge in front of one. Everything
-// else — slow handlers, traced or fault-delayed requests, streams — runs
-// on its own goroutine and queues and flushes its response through the
-// same writer, so a slow call does not block the calls behind it.
+// The server has one handler shape (Handler) and runs every request
+// through one body (serve); only where that body runs differs. The read
+// loop draws the request's trace once — the caller's, a server sample, or
+// none — and runs a method registered with HandleFast inline when the
+// request is untraced and no delay is injected, queueing its response; it
+// flushes when the reader has no complete frame left, before running the
+// next buffered request once the oldest unflushed response has been held
+// for flushAge, and from a timer when a handler outlasts flushAge in front
+// of one. Everything else — Handle methods, traced, sampled or
+// fault-delayed requests, streams — runs on its own goroutine and pushes
+// its response through the same writer, so a slow call does not block the
+// calls behind it.
 package rpc
 
 import (
@@ -99,20 +103,21 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rpc: remote %s: %s", e.Method, e.Msg)
 }
 
-// Handler processes one request payload and returns the response payload.
-type Handler func(payload []byte) ([]byte, error)
+// Handler processes one request payload and returns the response
+// payload, which it may append into dst. ctx carries the request's trace
+// when the caller or the server sampled it. On the inline path dst is the
+// connection's reusable response buffer: appending into it is what lets
+// an inline handler answer with zero heap allocations. On the goroutine
+// path dst is nil.
+type Handler func(ctx context.Context, payload, dst []byte) ([]byte, error)
 
-// HandlerCtx is a Handler that receives the request context, which
-// carries the request's trace when the caller sampled it.
-type HandlerCtx func(ctx context.Context, payload []byte) ([]byte, error)
-
-// FastHandler is the inline-dispatch handler shape: the response payload
-// is appended into dst (a per-connection buffer the server reuses) and
-// the extended slice returned. Appending into caller-owned storage is
-// what lets a fast handler answer with zero heap allocations — there is
-// no ownership gap between the handler returning and the frame encode
-// copying the payload out.
-type FastHandler func(ctx context.Context, payload, dst []byte) ([]byte, error)
+// route is one registered method: a call handler, run inline or on a
+// goroutine, or a stream handler (stream.go).
+type route struct {
+	h      Handler
+	stream StreamHandler
+	inline bool
+}
 
 // Server serves RPC over a TCP listener.
 type Server struct {
@@ -121,16 +126,8 @@ type Server struct {
 	// Serve/Listen.
 	Tracer *trace.Tracer
 
-	mu       sync.RWMutex
-	handlers map[string]HandlerCtx
-	// streamHandlers holds methods served as long-lived push streams
-	// (HandleStream); see stream.go.
-	streamHandlers map[string]StreamHandler
-	// fast holds methods whose handlers run inline on the connection's
-	// read loop (HandleFast): short, non-blocking handlers on the
-	// steady-state read path, dispatched with zero per-request
-	// allocations. Everything else gets the goroutine-per-frame path.
-	fast   map[string]FastHandler
+	mu     sync.RWMutex
+	routes map[string]route
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
@@ -165,41 +162,26 @@ func (s *Server) SetDropRate(f func() float64) {
 
 // NewServer creates a server with no handlers registered.
 func NewServer() *Server {
-	return &Server{handlers: make(map[string]HandlerCtx), fast: make(map[string]FastHandler), conns: make(map[net.Conn]struct{})}
+	return &Server{routes: make(map[string]route), conns: make(map[net.Conn]struct{})}
 }
 
-// Handle registers a context-less handler for method, replacing any
-// previous one.
-func (s *Server) Handle(method string, h Handler) {
-	s.HandleCtx(method, func(_ context.Context, payload []byte) ([]byte, error) {
-		return h(payload)
-	})
-}
+// Handle registers h for method, replacing any previous registration.
+// Each request runs on a goroutine of its own, so h may block.
+func (s *Server) Handle(method string, h Handler) { s.setRoute(method, route{h: h}) }
 
-// HandleCtx registers a context-aware handler for method, replacing any
-// previous one. The context carries the request's trace when sampled.
-func (s *Server) HandleCtx(method string, h HandlerCtx) {
+// HandleFast registers h for method to run inline: an untraced, unsampled
+// request runs directly on the connection's read loop with the payload
+// aliasing the reusable read buffer and dst the reusable response buffer
+// — no goroutine, no frame copy, no allocations. h must be short and
+// non-blocking (a slow one head-of-line blocks its connection), must
+// append its response into dst, and must not retain either buffer after
+// returning. A traced, sampled or fault-delayed request runs the same
+// serve body on a goroutine, as for Handle, with dst nil.
+func (s *Server) HandleFast(method string, h Handler) { s.setRoute(method, route{h: h, inline: true}) }
+
+func (s *Server) setRoute(method string, r route) {
 	s.mu.Lock()
-	s.handlers[method] = h
-	delete(s.fast, method)
-	s.mu.Unlock()
-}
-
-// HandleFast registers an inline-dispatch handler for method: untraced,
-// unsampled requests run directly on the connection's read loop with the
-// request payload aliasing the reusable read buffer and the response
-// appended into a reusable per-connection buffer — no goroutine, no
-// frame copy, no allocations. Fast handlers must be short and
-// non-blocking (a slow one head-of-line blocks its connection), and must
-// not retain either buffer after returning. Traced, sampled, or
-// fault-delayed requests for the same method transparently fall back to
-// the goroutine path through an adapter.
-func (s *Server) HandleFast(method string, h FastHandler) {
-	s.mu.Lock()
-	s.handlers[method] = func(ctx context.Context, payload []byte) ([]byte, error) {
-		return h(ctx, payload, nil)
-	}
-	s.fast[method] = h
+	s.routes[method] = r
 	s.mu.Unlock()
 }
 
@@ -317,7 +299,7 @@ func (h *heldResponses) beforeHandler(now time.Time) {
 	}
 }
 
-//ips:hotpath-trust the slow path deep-copies frames and spawns goroutines by design; the fast path is checked in dispatchFast
+//ips:hotpath-trust the goroutine path deep-copies frames and spawns goroutines by design; the inline path is checked in serve
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -352,34 +334,44 @@ func (s *Server) serveConn(conn net.Conn) {
 			now := time.Now()
 			held.beforeHandler(now)
 			s.mu.RLock()
-			h := s.handlers[string(f.method)] // no-copy map lookup
-			fh := s.fast[string(f.method)]
+			r := s.routes[string(f.method)] // no-copy map lookup
 			s.mu.RUnlock()
-			// Inline fast path: the payload aliases the read buffer, which
-			// is safe only because the handler completes before the next
-			// frame is taken. Sampled requests fall back to the goroutine
-			// path (span collection allocates anyway).
-			tryFast := fh != nil && f.kind == kindRequest && s.delay.Load() == nil
-			inline := false
-			if tryFast {
-				inline, respBuf = s.dispatchFast(cw, f, fh, respBuf)
+			// The one sampling draw: a traced request continues the
+			// caller's trace even without a local Tracer (the spans only
+			// ship back over the wire); an untraced one may win the local
+			// draw. Span collection allocates, so a traced request leaves
+			// the inline path.
+			var tr *trace.Trace
+			if f.kind == kindRequestTraced {
+				tr = trace.Adopt(f.traceID, f.parentSpan)
+			} else if s.Tracer.Sample() {
+				tr = trace.New()
 			}
-			if inline {
+			delay := s.delay.Load()
+			if r.inline && tr == nil && delay == nil {
+				// The payload aliases the read buffer, which is safe only
+				// because the handler completes before the next frame is
+				// taken.
+				if resp := s.serve(cw, f, r.h, nil, respBuf[:0], true); resp != nil {
+					respBuf = resp // retain grown storage for the next request
+				}
 				if held.since.IsZero() {
 					held.since = now
 				}
 				break
 			}
-			// dispatchFast declines only by winning the sampling draw; the
-			// goroutine path honors it. The frame escapes this loop, so
-			// detach it from the read buffer.
-			forceTrace := tryFast
+			// The frame escapes this loop: detach it from the read buffer.
 			f.method = append([]byte(nil), f.method...)
 			f.payload = append([]byte(nil), f.payload...)
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.dispatch(cw, f, h, forceTrace)
+				if delay != nil {
+					if dur := (*delay)(string(f.method)); dur > 0 {
+						time.Sleep(dur)
+					}
+				}
+				s.serve(cw, f, r.h, tr, nil, false)
 			}()
 		} // anything else is a stray frame: ignored
 		if !held.since.IsZero() && !fr.buffered() {
@@ -388,113 +380,68 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatchFast runs a fast handler inline, appending its response into
-// the connection's reusable response buffer and queueing the frame on the
-// connection's writer — the read loop decides when to flush. It reports
-// false — without consuming the request — when the server-side sampling
-// draw wins, sending the request down the goroutine path that knows how
-// to collect spans. The returned slice is the (possibly grown) response
-// buffer for the caller's next request.
+// serve is the one dispatch body: it runs h on f's payload under panic
+// containment (inside a server.dispatch span when tr is set), applies the
+// drop injection and answers with an error, traced or plain frame. Inline,
+// on the read loop, it queues the frame and leaves the flush to the loop;
+// on a goroutine it pushes. It returns the response, which inline is the
+// (possibly grown) dst for the next request.
 //
 //ips:hotpath
-func (s *Server) dispatchFast(cw *connWriter, fr frame, h FastHandler, respBuf []byte) (bool, []byte) {
-	if s.Tracer.Sample() {
-		return false, respBuf
+func (s *Server) serve(cw *connWriter, f frame, h Handler, tr *trace.Trace, dst []byte, inline bool) []byte {
+	ctx := contextBG
+	if tr != nil {
+		//ipslint:ignore hotpathalloc only traced and sampled requests carry a context value, and they run on goroutines
+		ctx = trace.NewContext(ctx, tr)
 	}
-	resp, herr := safeCallFast(h, contextBG, fr.payload, respBuf[:0])
-	if resp != nil {
-		respBuf = resp // retain grown storage for the next request
+	dctx, dspan := trace.StartSpan(ctx, trace.StageServerDispatch)
+	resp, herr := safeCall(h, dctx, f, dst)
+	dspan.EndErr(herr)
+	if tr != nil {
+		//ipslint:ignore hotpathalloc folding spans is the traced and sampled path, which runs on goroutines
+		s.Tracer.Done(tr)
 	}
 	if dr := s.dropRate.Load(); dr != nil {
 		//ipslint:ignore hotpathalloc fault injection is a test-only configuration
-		if rate := (*dr)(); rate > 0 && pseudoRand(fr.seq) < rate {
-			return true, respBuf // drop the response: client times out
+		if rate := (*dr)(); rate > 0 && pseudoRand(f.seq) < rate {
+			return resp // drop the response: client times out
 		}
 	}
-	if herr != nil {
+	out := outFrame{seq: f.seq, kind: kindResponse, payload: resp}
+	switch {
+	case herr != nil:
 		//ipslint:ignore hotpathalloc error responses materialize the message; errors are off the steady state
-		_ = cw.queue(outFrame{seq: fr.seq, kind: kindError, payload: []byte(herr.Error())})
-		return true, respBuf
+		out.kind, out.payload = kindError, []byte(herr.Error())
+	case f.kind == kindRequestTraced:
+		//ipslint:ignore hotpathalloc span encoding is the traced path, which runs on goroutines
+		out.kind, out.blob = kindResponseTraced, trace.EncodeSpans(tr.Spans())
 	}
-	_ = cw.queue(outFrame{seq: fr.seq, kind: kindResponse, payload: resp})
-	return true, respBuf
+	// A write error tears the connection down through the writer; there is
+	// nobody to report it to here.
+	if inline {
+		_ = cw.queue(out)
+	} else {
+		_ = cw.push(out, false)
+	}
+	return resp
 }
 
 // contextBG is the shared background context for untraced dispatches.
 var contextBG = context.Background()
 
-// safeCall invokes h with panic containment.
+// safeCall invokes h with panic containment; a nil h is an unknown method.
 //
 //ips:hotpath-trust panic recovery needs a deferred closure; the steady state never triggers it
-func safeCall(h HandlerCtx, ctx context.Context, payload []byte) (resp []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("rpc: handler panic: %v", r)
-		}
-	}()
-	return h(ctx, payload)
-}
-
-// safeCallFast is safeCall for the append-style fast handler shape.
-//
-//ips:hotpath-trust panic recovery needs a deferred closure; the steady state never triggers it
-func safeCallFast(h FastHandler, ctx context.Context, payload, dst []byte) (resp []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("rpc: handler panic: %v", r)
-		}
-	}()
-	return h(ctx, payload, dst)
-}
-
-func (s *Server) dispatch(cw *connWriter, fr frame, h HandlerCtx, forceTrace bool) {
-	if d := s.delay.Load(); d != nil {
-		if dur := (*d)(string(fr.method)); dur > 0 {
-			time.Sleep(dur)
-		}
-	}
-	// A traced request continues the caller's trace even without a local
-	// Tracer (the spans only ship back over the wire); an untraced one
-	// may win the local sampling draw.
-	ctx := context.Background()
-	var tr *trace.Trace
-	traced := fr.kind == kindRequestTraced
-	switch {
-	case traced:
-		tr = trace.Adopt(fr.traceID, fr.parentSpan)
-		ctx = trace.NewContext(ctx, tr)
-	case forceTrace:
-		// dispatchFast already won the sampling draw for this request.
-		tr = trace.New()
-		ctx = trace.NewContext(ctx, tr)
-	default:
-		ctx, tr = s.Tracer.StartRequest(ctx)
-	}
-	dctx, dspan := trace.StartSpan(ctx, trace.StageServerDispatch)
-	var resp []byte
-	var herr error
+func safeCall(h Handler, ctx context.Context, f frame, dst []byte) (resp []byte, err error) {
 	if h == nil {
-		herr = fmt.Errorf("%w: %s", ErrNoMethod, fr.method)
-	} else {
-		resp, herr = safeCall(h, dctx, fr.payload)
+		return nil, fmt.Errorf("%w: %s", ErrNoMethod, f.method)
 	}
-	dspan.EndErr(herr)
-	s.Tracer.Done(tr)
-	if dr := s.dropRate.Load(); dr != nil {
-		if rate := (*dr)(); rate > 0 && pseudoRand(fr.seq) < rate {
-			return // drop the response: client times out
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("rpc: handler panic: %v", r)
 		}
-	}
-	// A write error tears the connection down through the writer; there is
-	// nobody to report it to here.
-	switch {
-	case herr != nil:
-		_ = cw.push(outFrame{seq: fr.seq, kind: kindError, payload: []byte(herr.Error())}, false)
-	case traced:
-		_ = cw.push(outFrame{seq: fr.seq, kind: kindResponseTraced, blob: trace.EncodeSpans(tr.Spans()), payload: resp}, false)
-	default:
-		_ = cw.push(outFrame{seq: fr.seq, kind: kindResponse, payload: resp}, false)
-	}
+	}()
+	return h(ctx, f.payload, dst)
 }
 
 // pseudoRand maps a sequence number to [0,1) deterministically, so drop
@@ -508,7 +455,7 @@ func pseudoRand(seq uint64) float64 {
 
 // frame is one decoded wire frame. method, blob, and payload alias the
 // buffer the frame was parsed from: a frame handed to another goroutine
-// must be deep-copied first (see serveConn's slow path).
+// must be deep-copied first (see serveConn's goroutine path).
 type frame struct {
 	seq        uint64
 	kind       byte

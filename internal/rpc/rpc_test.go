@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -13,10 +14,10 @@ import (
 func startEchoServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	s := NewServer()
-	s.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
-	s.Handle("upper", func(p []byte) ([]byte, error) { return bytes.ToUpper(p), nil })
-	s.Handle("fail", func(p []byte) ([]byte, error) { return nil, errors.New("boom") })
-	s.Handle("panic", func(p []byte) ([]byte, error) { panic("kaboom") })
+	s.Handle("echo", func(_ context.Context, p, _ []byte) ([]byte, error) { return p, nil })
+	s.Handle("upper", func(_ context.Context, p, _ []byte) ([]byte, error) { return bytes.ToUpper(p), nil })
+	s.Handle("fail", func(_ context.Context, p, _ []byte) ([]byte, error) { return nil, errors.New("boom") })
+	s.Handle("panic", func(_ context.Context, p, _ []byte) ([]byte, error) { panic("kaboom") })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -58,9 +59,10 @@ func TestEmptyPayloads(t *testing.T) {
 func TestLargePayload(t *testing.T) {
 	_, addr := startEchoServer(t)
 	c := NewClient(addr)
+	c.CallTimeout = 10 * time.Second
 	defer c.Close()
 	big := bytes.Repeat([]byte("x"), 1<<20)
-	resp, err := c.CallTimeoutT("echo", big, 10*time.Second)
+	resp, err := c.Call("echo", big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +112,19 @@ func TestUnknownMethod(t *testing.T) {
 func TestMultiplexedConcurrentCalls(t *testing.T) {
 	s, addr := startEchoServer(t)
 	// A slow method must not block fast calls on the same connection.
-	s.Handle("slow", func(p []byte) ([]byte, error) {
+	s.Handle("slow", func(_ context.Context, p, _ []byte) ([]byte, error) {
 		time.Sleep(200 * time.Millisecond)
 		return p, nil
 	})
 	c := NewClient(addr)
 	c.PoolSize = 1 // force one shared connection
+	c.CallTimeout = 5 * time.Second
 	defer c.Close()
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := c.CallTimeoutT("slow", []byte("s"), 5*time.Second); err != nil {
+		if _, err := c.Call("slow", []byte("s")); err != nil {
 			t.Errorf("slow call: %v", err)
 		}
 	}()
@@ -141,6 +144,7 @@ func TestConcurrentLoad(t *testing.T) {
 	_, addr := startEchoServer(t)
 	c := NewClient(addr)
 	c.PoolSize = 3
+	c.CallTimeout = 5 * time.Second
 	defer c.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -150,7 +154,7 @@ func TestConcurrentLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				msg := []byte(fmt.Sprintf("w%d-%d", w, i))
-				resp, err := c.CallTimeoutT("echo", msg, 5*time.Second)
+				resp, err := c.Call("echo", msg)
 				if err != nil {
 					errs <- err
 					return
@@ -172,14 +176,15 @@ func TestConcurrentLoad(t *testing.T) {
 
 func TestCallTimeout(t *testing.T) {
 	s, addr := startEchoServer(t)
-	s.Handle("hang", func(p []byte) ([]byte, error) {
+	s.Handle("hang", func(_ context.Context, p, _ []byte) ([]byte, error) {
 		time.Sleep(2 * time.Second)
 		return p, nil
 	})
 	c := NewClient(addr)
 	defer c.Close()
+	c.CallTimeout = 50 * time.Millisecond
 	start := time.Now()
-	_, err := c.CallTimeoutT("hang", nil, 50*time.Millisecond)
+	_, err := c.Call("hang", nil)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -187,7 +192,8 @@ func TestCallTimeout(t *testing.T) {
 		t.Fatal("timeout took too long")
 	}
 	// Late response for the timed-out call must not break later calls.
-	if _, err := c.CallTimeoutT("echo", []byte("ok"), 5*time.Second); err != nil {
+	c.CallTimeout = 5 * time.Second
+	if _, err := c.Call("echo", []byte("ok")); err != nil {
 		t.Fatalf("post-timeout call: %v", err)
 	}
 }
@@ -210,11 +216,13 @@ func TestServerDropInjection(t *testing.T) {
 	s, addr := startEchoServer(t)
 	s.SetDropRate(func() float64 { return 1.0 }) // drop everything
 	c := NewClient(addr)
+	c.CallTimeout = 50 * time.Millisecond
 	defer c.Close()
-	if _, err := c.CallTimeoutT("echo", nil, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := c.Call("echo", nil); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout from dropped response", err)
 	}
 	s.SetDropRate(nil)
+	c.CallTimeout = time.Second
 	if _, err := c.Call("echo", nil); err != nil {
 		t.Fatalf("after drop disabled: %v", err)
 	}
@@ -222,15 +230,16 @@ func TestServerDropInjection(t *testing.T) {
 
 func TestServerCloseFailsInflight(t *testing.T) {
 	s, addr := startEchoServer(t)
-	s.Handle("block", func(p []byte) ([]byte, error) {
+	s.Handle("block", func(_ context.Context, p, _ []byte) ([]byte, error) {
 		time.Sleep(5 * time.Second)
 		return p, nil
 	})
 	c := NewClient(addr)
+	c.CallTimeout = 10 * time.Second
 	defer c.Close()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.CallTimeoutT("block", nil, 10*time.Second)
+		_, err := c.Call("block", nil)
 		errCh <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -267,7 +276,7 @@ func TestDialFailure(t *testing.T) {
 
 func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	s := NewServer()
-	s.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+	s.Handle("echo", func(_ context.Context, p, _ []byte) ([]byte, error) { return p, nil })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -280,21 +289,23 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	s.Close()
 
 	// Calls fail while the server is down.
-	if _, err := c.CallTimeoutT("echo", []byte("2"), 100*time.Millisecond); err == nil {
+	c.CallTimeout = 100 * time.Millisecond
+	if _, err := c.Call("echo", []byte("2")); err == nil {
 		t.Fatal("call to downed server should fail")
 	}
 
 	// Restart on the same address; the client dials fresh connections.
 	s2 := NewServer()
-	s2.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+	s2.Handle("echo", func(_ context.Context, p, _ []byte) ([]byte, error) { return p, nil })
 	if _, err := net0Listen(s2, addr); err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer s2.Close()
 
 	var ok bool
+	c.CallTimeout = 200 * time.Millisecond
 	for i := 0; i < 20; i++ {
-		if _, err := c.CallTimeoutT("echo", []byte("3"), 200*time.Millisecond); err == nil {
+		if _, err := c.Call("echo", []byte("3")); err == nil {
 			ok = true
 			break
 		}
@@ -320,19 +331,20 @@ func TestFrameSizeLimit(t *testing.T) {
 
 func BenchmarkCallRoundTrip(b *testing.B) {
 	s := NewServer()
-	s.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+	s.Handle("echo", func(_ context.Context, p, _ []byte) ([]byte, error) { return p, nil })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	c := NewClient(addr)
+	c.CallTimeout = 5 * time.Second
 	defer c.Close()
 	payload := bytes.Repeat([]byte("x"), 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.CallTimeoutT("echo", payload, 5*time.Second); err != nil {
+		if _, err := c.Call("echo", payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,17 +51,10 @@ func (st *ServerStream) Send(payload []byte) error {
 }
 
 // HandleStream registers a stream handler for method, replacing any
-// previous one. Stream methods live in their own namespace entry but
-// share the method string space with call handlers; don't register both
-// shapes under one name.
-func (s *Server) HandleStream(method string, h StreamHandler) {
-	s.mu.Lock()
-	if s.streamHandlers == nil {
-		s.streamHandlers = make(map[string]StreamHandler)
-	}
-	s.streamHandlers[method] = h
-	s.mu.Unlock()
-}
+// previous registration. Stream and call methods share one method table:
+// a call to a stream method, or a stream open of a call method, is an
+// unknown method.
+func (s *Server) HandleStream(method string, h StreamHandler) { s.setRoute(method, route{stream: h}) }
 
 // connStreams tracks the open streams of one server connection so a
 // client close frame (or connection death) can cancel the handler.
@@ -119,7 +112,7 @@ func safeCallStream(h StreamHandler, ctx context.Context, payload []byte, st *Se
 // frame. payload must already be detached from the reusable read buffer.
 func (s *Server) startStream(cw *connWriter, cs *connStreams, seq uint64, method string, payload []byte) {
 	s.mu.RLock()
-	h := s.streamHandlers[method]
+	h := s.routes[method].stream
 	s.mu.RUnlock()
 	if h == nil {
 		_ = cw.push(outFrame{seq: seq, kind: kindStreamClose, payload: []byte(ErrNoMethod.Error() + ": " + method)}, false)

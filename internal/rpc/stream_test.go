@@ -41,7 +41,7 @@ func startStreamServer(t *testing.T) (*Server, string) {
 	s.HandleStream("panicstream", func(ctx context.Context, payload []byte, st *ServerStream) error {
 		panic("kaboom")
 	})
-	s.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+	s.Handle("echo", func(_ context.Context, p, _ []byte) ([]byte, error) { return p, nil })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestStreamSlowConsumerDoesNotBlockConnection(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	s.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+	s.Handle("echo", func(_ context.Context, p, _ []byte) ([]byte, error) { return p, nil })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

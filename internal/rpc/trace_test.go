@@ -13,7 +13,7 @@ import (
 // traced response, and the client grafts them under the roundtrip span.
 func TestTracedCallGraftsServerSpans(t *testing.T) {
 	srv := NewServer()
-	srv.HandleCtx("echo", func(ctx context.Context, p []byte) ([]byte, error) {
+	srv.Handle("echo", func(ctx context.Context, p, _ []byte) ([]byte, error) {
 		sp := trace.StartLeaf(ctx, trace.StageCacheGet)
 		sp.SetFlags(trace.FlagCacheHit)
 		sp.End()
@@ -62,7 +62,7 @@ func TestTracedCallGraftsServerSpans(t *testing.T) {
 // the legacy frame kinds and the handler sees an untraced context.
 func TestUntracedCallStaysUntraced(t *testing.T) {
 	srv := NewServer()
-	srv.HandleCtx("probe", func(ctx context.Context, p []byte) ([]byte, error) {
+	srv.Handle("probe", func(ctx context.Context, p, _ []byte) ([]byte, error) {
 		if trace.FromContext(ctx) != nil {
 			t.Error("handler context unexpectedly traced")
 		}
@@ -85,7 +85,7 @@ func TestUntracedCallStaysUntraced(t *testing.T) {
 func TestServerLocalSampling(t *testing.T) {
 	srv := NewServer()
 	srv.Tracer = trace.NewTracer(trace.Config{SampleEvery: 1})
-	srv.Handle("noop", func(p []byte) ([]byte, error) { return nil, nil })
+	srv.Handle("noop", func(_ context.Context, p, _ []byte) ([]byte, error) { return nil, nil })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

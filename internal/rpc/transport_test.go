@@ -392,7 +392,7 @@ func TestFlushLeaderHandsOff(t *testing.T) {
 func TestWriteErrorFailsEveryQueuedCallOnce(t *testing.T) {
 	s := NewServer()
 	held := make(chan struct{})
-	s.Handle("hold", func(p []byte) ([]byte, error) { <-held; return p, nil })
+	s.Handle("hold", func(_ context.Context, p, _ []byte) ([]byte, error) { <-held; return p, nil })
 	s.HandleFast("echo", func(_ context.Context, p, dst []byte) ([]byte, error) { return append(dst, p...), nil })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -403,6 +403,7 @@ func TestWriteErrorFailsEveryQueuedCallOnce(t *testing.T) {
 
 	c := NewClient(addr)
 	c.PoolSize = 1
+	c.CallTimeout = 10 * time.Second
 	dialed := dialCounting(c)
 	if _, err := c.Call("echo", []byte("warm")); err != nil {
 		t.Fatal(err)
@@ -417,7 +418,7 @@ func TestWriteErrorFailsEveryQueuedCallOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.CallTimeoutT("hold", []byte("x"), 10*time.Second); err == nil {
+			if _, err := c.Call("hold", []byte("x")); err == nil {
 				t.Error("a call pending on the failed connection succeeded")
 			}
 			returned.Add(1)
@@ -447,7 +448,7 @@ func TestWriteErrorFailsEveryQueuedCallOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("late %d", i)
-			if got, err := c.CallTimeoutT("echo", []byte(want), 10*time.Second); err == nil && string(got) != want {
+			if got, err := c.Call("echo", []byte(want)); err == nil && string(got) != want {
 				t.Errorf("late caller got %q, want its own %q", got, want)
 			}
 			returned.Add(1)
@@ -490,7 +491,7 @@ func TestWriteErrorFailsEveryQueuedCallOnce(t *testing.T) {
 	}
 }
 
-// TestPipelinedFastHandlersDoNotHoldEachOther: two fast-handler requests
+// TestPipelinedFastHandlersDoNotHoldEachOther: two inline requests
 // arrive in one read and one of their handlers outlasts flushAge. The
 // first response must be on the wire before the second handler returns —
 // here the second handler does not return until the test has read the

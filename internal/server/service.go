@@ -124,7 +124,7 @@ func (s *Service) register() {
 	s.srv.HandleFast(wire.MethodPing, func(_ context.Context, _, dst []byte) ([]byte, error) {
 		return append(dst, "pong"...), nil
 	})
-	addHandler := func(ctx context.Context, payload []byte) ([]byte, error) {
+	addHandler := func(ctx context.Context, payload, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeAdd(payload)
 		if err != nil {
 			return nil, err
@@ -134,11 +134,11 @@ func (s *Service) register() {
 		}
 		return nil, nil
 	}
-	s.srv.HandleCtx(wire.MethodAdd, addHandler)
-	s.srv.HandleCtx(wire.MethodAddBatch, addHandler)
+	s.srv.Handle(wire.MethodAdd, addHandler)
+	s.srv.Handle(wire.MethodAddBatch, addHandler)
 
 	// The query handler is the paper's steady-state read path, so it is
-	// registered as a fast handler: decode, compute, and encode all run
+	// registered to run inline (HandleFast): decode, compute, and encode all run
 	// through pooled scratch storage with the response appended into the
 	// connection's reusable buffer — a warmed cache-hit read is
 	// allocation-free end to end (see TestServedQueryAllocFree).
@@ -149,7 +149,7 @@ func (s *Service) register() {
 	// The batch read answers with a shared-structure response: each
 	// distinct response body is encoded once and duplicate slots carry
 	// references (DESIGN.md "Batch v2").
-	s.srv.HandleCtx(wire.MethodQueryBatchV2, func(ctx context.Context, payload []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodQueryBatchV2, func(ctx context.Context, payload, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeQueryBatch(payload)
 		if err != nil {
 			return nil, err
@@ -158,19 +158,19 @@ func (s *Service) register() {
 		return wire.EncodeQueryBatchResponseV2(resp), nil
 	})
 
-	s.srv.Handle(wire.MethodStats, func(p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodStats, func(_ context.Context, p, _ []byte) ([]byte, error) {
 		return wire.EncodeStats(s.in.Stats()), nil
 	})
 
 	// Management operations.
-	s.srv.Handle(wire.MethodDeleteProfile, func(p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodDeleteProfile, func(_ context.Context, p, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeDeleteProfile(p)
 		if err != nil {
 			return nil, err
 		}
 		return nil, s.in.DeleteProfile(req.Table, req.ProfileID)
 	})
-	s.srv.Handle(wire.MethodSetQuota, func(p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodSetQuota, func(_ context.Context, p, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeSetQuota(p)
 		if err != nil {
 			return nil, err
@@ -178,7 +178,7 @@ func (s *Service) register() {
 		s.in.Limiter().SetQuota(req.Caller, req.QPS)
 		return nil, nil
 	})
-	s.srv.Handle(wire.MethodSetIsolation, func(p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodSetIsolation, func(_ context.Context, p, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeSetIsolation(p)
 		if err != nil {
 			return nil, err
@@ -187,7 +187,7 @@ func (s *Service) register() {
 			c.WriteIsolation = req.Enabled
 		})
 	})
-	s.srv.Handle(wire.MethodRegisterUDAF, func(p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodRegisterUDAF, func(_ context.Context, p, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeRegisterUDAF(p)
 		if err != nil {
 			return nil, err
@@ -195,7 +195,7 @@ func (s *Service) register() {
 		return nil, s.in.UDAFs().Register(req.Name, query.WeightedSum(req.Weights...))
 	})
 	// Elastic resharding: snapshot on the old owner, install on the new.
-	s.srv.HandleCtx(wire.MethodMigrateSnapshot, func(ctx context.Context, p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodMigrateSnapshot, func(ctx context.Context, p, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeMigrateRequest(p)
 		if err != nil {
 			return nil, err
@@ -206,7 +206,7 @@ func (s *Service) register() {
 		}
 		return wire.EncodeMigrateFrames(resp), nil
 	})
-	s.srv.HandleCtx(wire.MethodMigrateInstall, func(ctx context.Context, p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodMigrateInstall, func(ctx context.Context, p, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeMigrateInstall(p)
 		if err != nil {
 			return nil, err
@@ -224,10 +224,10 @@ func (s *Service) register() {
 	// torn down server-side); the hub's pump goroutine does the pushing.
 	s.srv.HandleStream(wire.MethodSubWatch, s.watch)
 
-	s.srv.Handle(wire.MethodListTables, func(p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodListTables, func(_ context.Context, p, _ []byte) ([]byte, error) {
 		return wire.EncodeStringList(&wire.StringList{Names: s.in.Tables()}), nil
 	})
-	s.srv.Handle(wire.MethodListUDAFs, func(p []byte) ([]byte, error) {
+	s.srv.Handle(wire.MethodListUDAFs, func(_ context.Context, p, _ []byte) ([]byte, error) {
 		return wire.EncodeStringList(&wire.StringList{Names: s.in.UDAFs().Names()}), nil
 	})
 }

@@ -66,15 +66,18 @@ func TestParseDurations(t *testing.T) {
 	}
 }
 
+// roundTripPrograms are valid pipelines whose canonical render parses
+// back to the same query; FuzzParse seeds its corpus with them.
+var roundTripPrograms = []string{
+	"source(t, 1)",
+	"source(user_profile, 42, 99) | slot(1) | type(2) | window(relative, 90m) | filter(min=3, fid=7) | decay(linear, 0.25) | sort(action, click) | topk(25)",
+	"source(t, 5) | window(absolute, 1000, 2000) | sort(fid) | topk(1)",
+	"source(t, 1, 2, 3) | sort(udaf, engagement, min=0.5) | topk(100)",
+	"source(t, 9) | alltypes() | decay(step, 0.75) | sort(time)",
+}
+
 func TestRenderRoundTrip(t *testing.T) {
-	programs := []string{
-		"source(t, 1)",
-		"source(user_profile, 42, 99) | slot(1) | type(2) | window(relative, 90m) | filter(min=3, fid=7) | decay(linear, 0.25) | sort(action, click) | topk(25)",
-		"source(t, 5) | window(absolute, 1000, 2000) | sort(fid) | topk(1)",
-		"source(t, 1, 2, 3) | sort(udaf, engagement, min=0.5) | topk(100)",
-		"source(t, 9) | alltypes() | decay(step, 0.75) | sort(time)",
-	}
-	for _, src := range programs {
+	for _, src := range roundTripPrograms {
 		q, err := Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
@@ -114,35 +117,38 @@ func TestRenderForSubset(t *testing.T) {
 	}
 }
 
+// badPrograms are pipelines Parse must reject; FuzzParse seeds its corpus
+// with them too.
+var badPrograms = []string{
+	"",
+	"   ",
+	"topk(5)",                               // no source
+	"source()",                              // no table
+	"source(t)",                             // no ids
+	"source(t, x)",                          // bad id
+	"source(t, 1) | source(t, 2)",           // duplicate source
+	"source(t, 1) | topk(0)",                // k out of range
+	"source(t, 1) | topk(5) | topk(6)",      // duplicate stage
+	"source(t, 1) | type(1) | alltypes()",   // conflicting spellings
+	"source(t, 1) | window(current)",        // missing span
+	"source(t, 1) | window(absolute, 5, 5)", // empty window
+	"source(t, 1) | decay(cubic, 0.5)",      // unknown decay
+	"source(t, 1) | decay(exp, 1.5)",        // factor out of range
+	"source(t, 1) | sort(action)",           // missing action name
+	"source(t, 1) | sort(banana)",           // unknown sort
+	"source(t, 1) | filter()",               // empty filter
+	"source(t, 1) | filter(max=3)",          // unknown filter key
+	"source(t, 1) | mystery(1)",             // unknown stage
+	"source(t, 1) |",                        // trailing pipe
+	"source(t, 1) | topk(5",                 // unterminated stage
+	"source(t 1)",                           // missing comma
+	"source(t, 1) | slot(1,2)",              // arity
+	"source(t, 1) | window(current, -5s)",   // negative span
+	"source(t, 1) | filter(min=3) extra",    // trailing garbage
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"   ",
-		"topk(5)",                               // no source
-		"source()",                              // no table
-		"source(t)",                             // no ids
-		"source(t, x)",                          // bad id
-		"source(t, 1) | source(t, 2)",           // duplicate source
-		"source(t, 1) | topk(0)",                // k out of range
-		"source(t, 1) | topk(5) | topk(6)",      // duplicate stage
-		"source(t, 1) | type(1) | alltypes()",   // conflicting spellings
-		"source(t, 1) | window(current)",        // missing span
-		"source(t, 1) | window(absolute, 5, 5)", // empty window
-		"source(t, 1) | decay(cubic, 0.5)",      // unknown decay
-		"source(t, 1) | decay(exp, 1.5)",        // factor out of range
-		"source(t, 1) | sort(action)",           // missing action name
-		"source(t, 1) | sort(banana)",           // unknown sort
-		"source(t, 1) | filter()",               // empty filter
-		"source(t, 1) | filter(max=3)",          // unknown filter key
-		"source(t, 1) | mystery(1)",             // unknown stage
-		"source(t, 1) |",                        // trailing pipe
-		"source(t, 1) | topk(5",                 // unterminated stage
-		"source(t 1)",                           // missing comma
-		"source(t, 1) | slot(1,2)",              // arity
-		"source(t, 1) | window(current, -5s)",   // negative span
-		"source(t, 1) | filter(min=3) extra",    // trailing garbage
-	}
-	for _, src := range bad {
+	for _, src := range badPrograms {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", src)
 		}
@@ -159,4 +165,26 @@ func TestParseTooManyIDs(t *testing.T) {
 	if _, err := Parse(b.String()); err == nil {
 		t.Fatal("over-MaxIDs source accepted")
 	}
+}
+
+// FuzzParse: Parse never panics, and every pipeline it accepts renders to
+// a canonical form that parses again and renders byte-identically.
+func FuzzParse(f *testing.F) {
+	for _, src := range append(append([]string(nil), roundTripPrograms...), badPrograms...) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		canon := q.Render()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("render of %q does not parse: %v\nrender: %s", src, err, canon)
+		}
+		if got := again.Render(); got != canon {
+			t.Fatalf("render of %q is not a fixpoint:\n%s\n%s", src, canon, got)
+		}
+	})
 }

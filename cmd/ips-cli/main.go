@@ -368,14 +368,18 @@ func runViaRegistry(registryAddr, region, caller, cmd string, args []string) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "warning: %v\n", err)
 		}
-		fmt.Printf("%d sub-queries, fan-out %d shard RPCs\n", len(subs), c.BatchFanOut.Value())
 		served := 0
+		for _, resp := range resps {
+			if resp != nil {
+				served++
+			}
+		}
+		fmt.Printf("%d sub-queries, %d failed\n", len(subs), len(subs)-served)
 		for i, resp := range resps {
 			if resp == nil {
 				fmt.Printf("  profile=%-12d FAILED\n", subs[i].Query.ProfileID)
 				continue
 			}
-			served++
 			fmt.Printf("  profile=%-12d %d features (%d slices scanned)\n",
 				subs[i].Query.ProfileID, len(resp.Features), resp.SlicesScanned)
 		}
@@ -426,7 +430,7 @@ func runViaRegistry(registryAddr, region, caller, cmd string, args []string) {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: ips-cli [-addr host:port] <command> [flags]")
 	fmt.Fprintln(os.Stderr, "commands: ping add topk filter decay batch watch stats debug delete set-quota set-isolation register-udaf tables udafs")
-	fmt.Fprintln(os.Stderr, "batch (registry mode only) coalesces one sub-query per -profiles ID into per-shard RPCs")
+	fmt.Fprintln(os.Stderr, "batch (registry mode only) reads every -profiles ID at once, one sub-query each, and prints the failed slots")
 	fmt.Fprintln(os.Stderr, "watch registers a standing pipeline query and streams pushed updates: ips-cli watch -pipeline 'source(user_profile, 42) | slot(1) | topk(5)'")
 	fmt.Fprintln(os.Stderr, "debug reads ipsd's -debug endpoint: ips-cli -addr host:debugport debug -cmd stages")
 	os.Exit(2)

@@ -43,10 +43,7 @@ func ratioNonZero(ratio float64) float64 {
 // onPrimary deposits the per-primary earn.
 func (b *retryBudget) onPrimary() {
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.tokens = min(b.tokens+b.ratio, b.burst)
 	b.mu.Unlock()
 }
 
@@ -98,16 +95,11 @@ func newBackoff(base, cap time.Duration, seed int64) *backoff {
 
 // delay returns the wait before retry attempt n (0-based).
 func (b *backoff) delay(attempt int) time.Duration {
-	if attempt < 0 {
-		attempt = 0
-	}
 	d := b.base
 	for i := 0; i < attempt && d < b.cap; i++ {
 		d *= 2
 	}
-	if d > b.cap {
-		d = b.cap
-	}
+	d = min(d, b.cap)
 	b.mu.Lock()
 	jitter := 0.5 + 0.5*b.rng.Float64()
 	b.mu.Unlock()

@@ -2,7 +2,9 @@ package client
 
 import (
 	"errors"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,12 +21,64 @@ func batchSub(id model.ProfileID) wire.SubQuery {
 	}}
 }
 
-// TestQueryBatchCoalescing is the acceptance check for the batch path: N
-// sub-queries spanning S shards must issue exactly S RPCs on the happy
-// path, and every response must land in its input slot.
+// writeCounter wraps every pooled connection c dials from now on and
+// counts the writes each one makes. It must run before c dials anything.
+type writeCounter struct {
+	mu     sync.Mutex
+	writes []*atomic.Int64 // one per dialed connection
+}
+
+func countWrites(t *testing.T, c *Client) *writeCounter {
+	t.Helper()
+	c.RefreshNow()
+	wc := &writeCounter{}
+	for _, rs := range c.routes.Load().regions {
+		for _, conn := range rs.conns {
+			conn.DialFunc = func(addr string, timeout time.Duration) (net.Conn, error) {
+				nc, err := net.DialTimeout("tcp", addr, timeout)
+				if err != nil {
+					return nil, err
+				}
+				n := new(atomic.Int64)
+				wc.mu.Lock()
+				wc.writes = append(wc.writes, n)
+				wc.mu.Unlock()
+				return countingConn{Conn: nc, writes: n}, nil
+			}
+		}
+	}
+	return wc
+}
+
+// snapshot returns every counted connection's writes so far.
+func (wc *writeCounter) snapshot() []int64 {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	out := make([]int64, len(wc.writes))
+	for i, n := range wc.writes {
+		out[i] = n.Load()
+	}
+	return out
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (cc countingConn) Write(p []byte) (int, error) {
+	cc.writes.Add(1)
+	return cc.Conn.Write(p)
+}
+
+// TestQueryBatchCoalescing pins what a batch is on the wire: N
+// sub-queries are N primaries, each served by its own ring owner, with
+// every response in its input slot — and the N frames leave in at most
+// one client write per pooled connection used.
 func TestQueryBatchCoalescing(t *testing.T) {
 	cl, clock := newCluster(t, []string{"east"}, 3)
-	c := newClient(t, cl, "east")
+	c := newResilientClient(t, cl, Options{Region: "east", HedgeDelay: -1})
+	wc := countWrites(t, c)
 	now := clock.Now()
 
 	const n = 32
@@ -37,49 +91,51 @@ func TestQueryBatchCoalescing(t *testing.T) {
 	}
 	forceVisible(cl)
 
-	// The expected shard set: the ring owner of each profile.
-	shards := make(map[string]bool)
+	// The expected routing: each profile's ring owner serves it.
+	owned := make(map[string]int64)
 	subs := make([]wire.SubQuery, 0, n)
 	for id := model.ProfileID(1); id <= n; id++ {
-		shards[c.route("east", id)] = true
+		owned[c.route("east", id)]++
 		subs = append(subs, batchSub(id))
 	}
-	if len(shards) < 2 {
-		t.Fatalf("degenerate routing: %d shards for %d profiles", len(shards), n)
+	if len(owned) < 2 {
+		t.Fatalf("degenerate routing: %d shards for %d profiles", len(owned), n)
 	}
 
-	var mu sync.Mutex
-	calls := make(map[string]int) // addr -> sub-queries carried
-	c.OnBatchCall = func(region, addr string, subQueries int) {
-		mu.Lock()
-		calls[addr] += subQueries
-		mu.Unlock()
+	queries := make(map[string]int64)
+	for _, node := range cl.Nodes() {
+		queries[node.Addr] = node.Instance().Stats().Queries
 	}
+	pre := c.Resilience()
+	writes := wc.snapshot()
 	resps, err := c.QueryBatch(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := wc.snapshot()
 
-	if len(calls) != len(shards) {
-		t.Fatalf("issued %d RPCs for %d shards: %v", len(calls), len(shards), calls)
-	}
-	if got := c.BatchRPCs.Value(); got != int64(len(shards)) {
-		t.Fatalf("BatchRPCs = %d, want %d", got, len(shards))
-	}
-	if got := c.BatchFanOut.Value(); got != int64(len(shards)) {
-		t.Fatalf("BatchFanOut = %d, want %d", got, len(shards))
-	}
-	total := 0
-	for addr, k := range calls {
-		if !shards[addr] {
-			t.Fatalf("RPC issued to non-owner %s", addr)
+	for i, w := range after {
+		var was int64
+		if i < len(writes) {
+			was = writes[i]
 		}
-		total += k
+		if w-was > 1 {
+			t.Fatalf("connection %d carried the batch in %d writes, want at most 1", i, w-was)
+		}
 	}
-	if total != n {
-		t.Fatalf("RPCs carried %d sub-queries, want %d", total, n)
+	post := c.Resilience()
+	if got := post.Primaries - pre.Primaries; got != n {
+		t.Fatalf("primaries = %d, want %d (one per sub-query)", got, n)
 	}
-	// Responses merge back in input order: each slot holds its profile's
+	if got := post.Attempts - pre.Attempts; got != n {
+		t.Fatalf("attempts = %d, want %d", got, n)
+	}
+	for _, node := range cl.Nodes() {
+		if got := node.Instance().Stats().Queries - queries[node.Addr]; got != owned[node.Addr] {
+			t.Fatalf("%s served %d sub-queries, owns %d", node.Addr, got, owned[node.Addr])
+		}
+	}
+	// Responses land in input order: each slot holds its profile's
 	// feature.
 	for i, resp := range resps {
 		id := subs[i].Query.ProfileID
@@ -90,6 +146,9 @@ func TestQueryBatchCoalescing(t *testing.T) {
 	}
 	if got := c.BatchSize.Max(); got != n {
 		t.Fatalf("BatchSize max = %d, want %d", got, n)
+	}
+	if got := c.BatchRPCs.Value(); got != 0 {
+		t.Fatalf("BatchRPCs = %d: the client sent a batch RPC", got)
 	}
 }
 
@@ -127,8 +186,11 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 }
 
 // TestQueryBatchShardFailover crashes one instance without letting
-// discovery notice, so the batch's group RPC to the dead shard fails in
-// transport and only that group re-routes to ring successors.
+// discovery notice, so every sub-query whose primary went to the dead
+// shard fails in transport and retries down its own candidates under the
+// retry budget. A slot either answers correctly or failed because the
+// budget denied its retry. Once the victim's breaker is open, a batch
+// routes around it with no retries at all.
 func TestQueryBatchShardFailover(t *testing.T) {
 	cl, clock := newCluster(t, []string{"east"}, 2)
 	c := newClient(t, cl, "east")
@@ -161,18 +223,46 @@ func TestQueryBatchShardFailover(t *testing.T) {
 	for id := model.ProfileID(1); id <= n; id++ {
 		subs = append(subs, batchSub(id))
 	}
-	resps, err := c.QueryBatch(subs)
-	if err != nil {
-		t.Fatalf("batch after shard crash: %v", err)
-	}
-	for i, resp := range resps {
-		id := subs[i].Query.ProfileID
-		if resp == nil || len(resp.Features) != 1 || resp.Features[0].FID != id {
-			t.Fatalf("slot %d (profile %d) after failover: %+v", i, id, resp)
+	check := func(resps []*wire.QueryResponse, err error) int {
+		t.Helper()
+		failed := make(map[int]bool)
+		if err != nil {
+			var perr *PartialError
+			if !errors.As(err, &perr) {
+				t.Fatalf("batch after shard crash: %v", err)
+			}
+			for _, i := range perr.Failed {
+				failed[i] = true
+			}
 		}
+		for i, resp := range resps {
+			id := subs[i].Query.ProfileID
+			if failed[i] {
+				continue
+			}
+			if resp == nil || len(resp.Features) != 1 || resp.Features[0].FID != id {
+				t.Fatalf("slot %d (profile %d) after failover: %+v", i, id, resp)
+			}
+		}
+		return len(failed)
+	}
+	pre := c.Resilience()
+	failed := check(c.QueryBatch(subs))
+	post := c.Resilience()
+	if denied := post.RetriesDenied - pre.RetriesDenied; int64(failed) != denied {
+		t.Fatalf("%d slots failed, the budget denied %d retries", failed, denied)
 	}
 	if c.Failovers.Value() == 0 {
 		t.Fatal("no failovers recorded despite a dead shard")
+	}
+
+	openBreaker(t, c, victim.Addr)
+	pre = c.Resilience()
+	if failed := check(c.QueryBatch(subs)); failed != 0 {
+		t.Fatalf("%d slots failed with the dead shard's breaker open", failed)
+	}
+	if got := c.Resilience().Retries - pre.Retries; got != 0 {
+		t.Fatalf("%d retries with the dead shard's breaker open, want 0", got)
 	}
 }
 

@@ -82,9 +82,6 @@ type Options struct {
 	// CallTimeout/2]. Negative disables hedging. Only idempotent reads are
 	// ever hedged; writes never are.
 	HedgeDelay time.Duration
-	// HedgeMaxInFlight caps concurrent hedges per client so hedging can't
-	// double load during a broad slowdown; default 64.
-	HedgeMaxInFlight int
 	// RetryBudgetRatio is the retry tokens earned per primary request
 	// (retries are bounded to this fraction of primary traffic); default
 	// 0.2. Zero or negative means no retries at all.
@@ -134,23 +131,17 @@ type Client struct {
 	QueryLat  metrics.Histogram
 	WriteLat  metrics.Histogram
 
-	// Batch-path metrics (ips.query_batch2): the distribution of batch
-	// sizes, the shard fan-out of the most recent batch's first round,
-	// total batch RPCs issued, and batches that finished with failed
-	// slots.
+	// Batch-path metrics: the distribution of batch sizes and the
+	// batches that finished with failed slots. BatchRPCs counted
+	// ips.query_batch2 RPCs, which the client no longer sends: it reads 0
+	// and stays only because the benchmark harness still reads it.
 	BatchSize      metrics.IntHist
-	BatchFanOut    metrics.Gauge
 	BatchRPCs      metrics.Counter
 	PartialBatches metrics.Counter
 
-	// OnBatchCall observes every batch RPC issued — a test hook for
-	// asserting coalescing (one RPC per shard touched). Set it before
-	// issuing batches; it runs on the RPC fan-out goroutines.
-	OnBatchCall func(region, addr string, subQueries int)
-
 	// Resilience-layer accounting. Every read-path RPC launch increments
-	// Attempts plus exactly one of Primaries (first try of a call or of a
-	// batch shard group), Retries (budgeted failover re-issues), Hedges
+	// Attempts plus exactly one of Primaries (first try of a read, a batch
+	// sub-query included), Retries (budgeted failover re-issues), Hedges
 	// (duplicate reads racing a slow primary) or Duals (reads to the
 	// outgoing owner of a key inside a migration window), so
 	// Attempts == Primaries + Retries + Hedges + Duals holds exactly at
@@ -220,7 +211,7 @@ type regionState struct {
 	name string
 	// ring is the authority ring: every member except draining ones. It
 	// answers "who owns this key after the migration completes" and is the
-	// only ring the failover ladder and the batch path consult.
+	// only ring the failover ladder consults.
 	ring *hashring.Ring
 	// oldRing is the pre-migration ring: every member except joining ones.
 	// nil outside a migration window (the two member sets are equal). A key
@@ -235,8 +226,8 @@ type regionState struct {
 // regionState (onInstances builds both from one instance list).
 //
 //ips:hotpath
-func (rs *regionState) target(addr string) batchTarget {
-	return batchTarget{region: rs.name, addr: addr, conn: rs.conns[addr]}
+func (rs *regionState) target(addr string) target {
+	return target{addr: addr, conn: rs.conns[addr]}
 }
 
 // owners resolves id's owners in the region: auth is the authority-ring
@@ -271,9 +262,6 @@ func New(opts Options) (*Client, error) {
 	}
 	if opts.Retries <= 0 {
 		opts.Retries = 2
-	}
-	if opts.HedgeMaxInFlight <= 0 {
-		opts.HedgeMaxInFlight = 64
 	}
 	if opts.RetryBudgetRatio == 0 {
 		opts.RetryBudgetRatio = 0.2
@@ -555,9 +543,11 @@ func (c *Client) writeLeg(ctx context.Context, rs *regionState, addr, method str
 }
 
 // callScratch is the per-request storage a read or write borrows: the
-// encoded request and, for reads, the raw response the decode runs over.
+// encoded request, for reads the raw response the decode runs over, and
+// for batches the state of their reads.
 type callScratch struct {
 	payload, raw []byte
+	reads        []race
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(callScratch) }}
@@ -605,19 +595,16 @@ func (c *Client) hedgeDelay() time.Duration {
 	if c.QueryLat.Count() < 100 {
 		return c.opts.CallTimeout / 4
 	}
-	d = c.QueryLat.P95()
-	if min := time.Millisecond; d < min {
-		d = min
-	}
-	if max := c.opts.CallTimeout / 2; d > max {
-		d = max
-	}
-	return d
+	return min(max(c.QueryLat.P95(), time.Millisecond), c.opts.CallTimeout/2)
 }
+
+// maxHedgesInFlight caps concurrent hedges per client so hedging can't
+// double load during a broad slowdown.
+const maxHedgesInFlight = 64
 
 // hedgeAcquire claims one slot under the concurrent-hedge cap.
 func (c *Client) hedgeAcquire() bool {
-	if c.hedgeInFlight.Add(1) > int64(c.opts.HedgeMaxInFlight) {
+	if c.hedgeInFlight.Add(1) > maxHedgesInFlight {
 		c.hedgeInFlight.Add(-1)
 		return false
 	}

@@ -3,10 +3,13 @@ package client
 // The read path's degradation ladder (DESIGN.md "Degradation ladder"),
 // run without goroutines: every attempt is an rpc.Call started
 // asynchronously, and the calling goroutine itself selects over the
-// attempts it has in flight and its hedge and retry timers. The steady
-// state — the primary answers before the hedge delay — spawns nothing.
-// Only when a race is decided with attempts still in flight (a hedge
-// fired, a dual read) are the leftovers handed to a reaper goroutine.
+// attempts it has in flight and its hedge and retry timers. A read runs
+// in two steps: begin routes it and starts its first attempt, drive waits
+// it out. A single read takes the two back to back; a batch (batch.go)
+// begins all of its reads before it drives any. The steady state — the
+// primary answers before the hedge delay — spawns nothing. Only when a
+// race is decided with attempts still in flight (a hedge fired, a dual
+// read) are the leftovers handed to a reaper goroutine.
 
 import (
 	"context"
@@ -31,7 +34,7 @@ const (
 // attempt is one started read RPC.
 type attempt struct {
 	call *rpc.Call
-	tgt  batchTarget
+	tgt  target
 	kind attemptKind
 	span trace.SpanRef
 }
@@ -41,15 +44,40 @@ type attempt struct {
 // dual read's two legs), the third slot is headroom.
 const maxRace = 3
 
-// race is the set of attempts one read has in flight. It lives on the
-// reading goroutine's stack.
+// target is one RPC destination: an instance and the pooled client that
+// reaches it, both taken from one routing snapshot.
+type target struct {
+	addr string
+	conn *rpc.Client
+}
+
+// race is one read: the attempts it has in flight and the ladder state
+// begin leaves for drive. A single read keeps it on the reading
+// goroutine's stack.
 type race struct {
-	c        *Client
-	ctx      context.Context
-	method   string
-	payload  []byte
+	c       *Client
+	ctx     context.Context
+	method  string
+	payload []byte
+	// queue makes start leave its frames unwritten; the batch sets it
+	// while it begins its reads and then flushes each connection once.
+	queue    bool
 	att      [maxRace]attempt // call == nil marks a free slot
 	inflight int
+
+	rt   *routes
+	id   model.ProfileID
+	dual bool // a window read: drive waits for its owners, not the ladder
+
+	// The ladder: id's candidates (in ladder, or in spill when there are
+	// more than ladderLen), the next one to try, the retries drawn so far
+	// and the last failure.
+	ladder         [ladderLen]target
+	spill          []target
+	ncand, next    int
+	retries        int
+	lastErr        error
+	hedgeT, retryT *time.Timer
 }
 
 // start issues one read RPC to tgt, feeding the attempt counters. Each
@@ -58,7 +86,7 @@ type race struct {
 // carried the winning response. An attempt that fails before anything
 // was sent (no connection) is settled here and its error returned; it
 // still counts as an attempt, exactly as one that failed on the wire.
-func (r *race) start(tgt batchTarget, kind attemptKind) error {
+func (r *race) start(tgt target, kind attemptKind) error {
 	slot := 0
 	for slot < maxRace && r.att[slot].call != nil {
 		slot++
@@ -83,7 +111,12 @@ func (r *race) start(tgt batchTarget, kind attemptKind) error {
 	actx, sp := trace.StartSpan(r.ctx, stage)
 	a := attempt{tgt: tgt, kind: kind, span: sp}
 	var err error
-	if a.call, err = tgt.conn.Start(actx, r.method, r.payload); err != nil {
+	if r.queue {
+		a.call, err = tgt.conn.Queue(actx, r.method, r.payload)
+	} else {
+		a.call, err = tgt.conn.Start(actx, r.method, r.payload)
+	}
+	if err != nil {
 		c.settle(&a, err)
 		return err
 	}
@@ -94,14 +127,13 @@ func (r *race) start(tgt batchTarget, kind attemptKind) error {
 
 // Timer outcomes of race.wait; attempt outcomes are slot indices >= 0.
 const (
-	firedFirst  = -1
-	firedSecond = -2
+	firedHedge = -1
+	firedRetry = -2
 )
 
 // wait blocks until one in-flight attempt completes (returning its slot)
-// or one of the two timer channels fires. A nil channel never fires; the
-// caller guarantees something can.
-func (r *race) wait(first, second <-chan time.Time) int {
+// or the hedge or retry timer fires. The caller guarantees something can.
+func (r *race) wait() int {
 	select {
 	case <-r.done(0):
 		return 0
@@ -109,10 +141,10 @@ func (r *race) wait(first, second <-chan time.Time) int {
 		return 1
 	case <-r.done(2):
 		return 2
-	case <-first:
-		return firedFirst
-	case <-second:
-		return firedSecond
+	case <-timerC(r.hedgeT):
+		return firedHedge
+	case <-timerC(r.retryT):
+		return firedRetry
 	}
 }
 
@@ -223,8 +255,8 @@ const ladderLen = 8
 // successors in the local region first, then the other regions — with
 // breaker-ready instances ahead of ones currently skipped, so a broken
 // primary costs a reorder instead of a timeout.
-func (c *Client) candidates(rt *routes, id model.ProfileID, dst []batchTarget) []batchTarget {
-	var blockedArr [ladderLen]batchTarget
+func (c *Client) candidates(rt *routes, id model.ProfileID, dst []target) []target {
+	var blockedArr [ladderLen]target
 	blocked := blockedArr[:0]
 	var addrArr [ladderLen]string
 	for _, rs := range rt.regions {
@@ -251,11 +283,17 @@ func (c *Client) candidates(rt *routes, id model.ProfileID, dst []batchTarget) [
 	return append(dst, blocked...)
 }
 
-// readCall routes one idempotent read, appending the response to dst. A
-// key inside a migration window (its authority and old owners differ in
-// the first region that has an owner at all) takes the dual-read path;
-// everything else — the entire steady state — takes the resilient ladder
-// unchanged.
+// readCall routes one idempotent read and appends the response to dst.
+func (c *Client) readCall(ctx context.Context, method string, payload []byte, id model.ProfileID, dst []byte) ([]byte, error) {
+	r := race{c: c, ctx: ctx, method: method, payload: payload}
+	r.begin(c.routes.Load(), id)
+	return r.drive(dst)
+}
+
+// begin routes the read of id and starts its first attempts. A key inside
+// a migration window (its authority and old owners differ in the first
+// region that has an owner at all) starts a dual read; everything else —
+// the entire steady state — starts the ladder's primary.
 //
 // Breakers gate the window's legs old-first, because Allow is committal
 // (it may admit a half-open probe that must then actually be issued):
@@ -266,9 +304,9 @@ func (c *Client) candidates(rt *routes, id model.ProfileID, dst []batchTarget) [
 // the authority ring, whose owner (and ring-neighbor failover
 // candidates) may not hold the profile's migrated content yet, turning
 // a breaker skip into an empty-but-successful answer.
-func (c *Client) readCall(ctx context.Context, method string, payload []byte, id model.ProfileID, dst []byte) ([]byte, error) {
-	rt := c.routes.Load()
-	r := race{c: c, ctx: ctx, method: method, payload: payload}
+func (r *race) begin(rt *routes, id model.ProfileID) {
+	c := r.c
+	r.rt, r.id = rt, id
 	for _, rs := range rt.regions {
 		auth, old := rs.owners(id)
 		if auth == "" {
@@ -282,170 +320,188 @@ func (c *Client) readCall(ctx context.Context, method string, payload []byte, id
 			// breakers out.
 			break
 		}
+		c.budget.onPrimary()
+		r.dual = true
+		// The authority leg's refusal or failure to start is kept for
+		// drive.
 		if c.Breaker != nil && !c.Breaker.Allow(auth) {
-			return r.oldOnlyRead(rt, rs.target(old), id, dst)
+			r.lastErr = ErrBreakerOpen
+		} else {
+			r.lastErr = r.start(rs.target(auth), attemptPrimary)
 		}
-		return r.dualRead(rt, rs.target(auth), rs.target(old), id, dst)
+		_ = r.start(rs.target(old), attemptDual)
+		return
 	}
-	return r.resilientCall(rt, id, dst)
+	r.beginLadder()
 }
 
-// oldOnlyRead serves an in-window read from the outgoing owner alone —
-// the path taken when the incoming (authority) owner is breaker-blocked.
-// The old owner's answer is the one dualRead would prefer regardless, so
-// skipping the blocked authority leg costs nothing; only if the old
-// owner also fails does the request fall back to the resilient ladder.
-func (r *race) oldOnlyRead(rt *routes, old batchTarget, id model.ProfileID, dst []byte) ([]byte, error) {
-	r.c.budget.onPrimary()
-	if r.start(old, attemptDual) == nil {
-		if _, raw, err := r.finish(r.wait(nil, nil), dst); err == nil {
-			r.c.DualWins.Inc()
+// drive waits out the read begin started and appends its response to
+// dst. A window read whose owners both fail falls back to the full ladder
+// rather than surfacing a window-shaped error to the caller.
+func (r *race) drive(dst []byte) ([]byte, error) {
+	if r.dual {
+		if raw, ok := r.driveDual(dst); ok {
 			return raw, nil
 		}
+		r.beginLadder()
 	}
-	return r.resilientCall(rt, id, dst)
+	return r.driveLadder(dst)
 }
 
-// dualRead races a migrating key's two owners and prefers the outgoing
-// owner's response: inside the window its copy is a superset of the
-// incoming owner's (acknowledged dual-writes land on both while profile
-// state only flows old→new), so the preference needs no watermark
-// comparison — journal LSNs from different instances are not comparable
-// anyway. The old leg's success returns immediately, without waiting for
-// the authority: a stalled or still-warming authority (a node mid-join)
-// must not add its latency to every in-window read. The authority
-// attempt is still not wasted — it warms the incoming owner's cache, and
-// its result is waited for (and used) only once the old leg has failed.
-// Should both fail, the request falls back to the full resilient ladder
-// rather than surfacing a window-shaped error to the caller.
-func (r *race) dualRead(rt *routes, auth, old batchTarget, id model.ProfileID, dst []byte) ([]byte, error) {
-	c := r.c
-	c.budget.onPrimary()
+// driveDual waits out a migrating key's two owners and prefers the
+// outgoing owner's response: inside the window its copy is a superset of
+// the incoming owner's (acknowledged dual-writes land on both while
+// profile state only flows old→new), so the preference needs no
+// watermark comparison — journal LSNs from different instances are not
+// comparable anyway. The old leg's success returns immediately, without
+// waiting for the authority: a stalled or still-warming authority (a node
+// mid-join) must not add its latency to every in-window read. The
+// authority attempt is still not wasted — it warms the incoming owner's
+// cache, and its result is waited for (and used) only once the old leg
+// has failed. It reports false when both legs failed.
+func (r *race) driveDual(dst []byte) ([]byte, bool) {
 	// Each leg's response is appended at the same place in dst: only one
-	// of the two is ever returned.
-	authErr := r.start(auth, attemptPrimary)
-	authDone := authErr != nil
+	// of the two is ever returned. authErr is nil while the authority leg
+	// is in flight or once it has answered.
+	authErr := r.lastErr
 	var authRaw []byte
-	oldDone := r.start(old, attemptDual) != nil
-	for !oldDone {
-		kind, raw, err := r.finish(r.wait(nil, nil), dst)
-		if kind == attemptPrimary {
+	for r.inflight > 0 {
+		kind, raw, err := r.finish(r.wait(), dst)
+		switch {
+		case kind == attemptPrimary:
 			// Remember the authority outcome but keep waiting on the old
 			// leg: even a successful authority answer may be missing
 			// content its cache has not received yet.
-			authDone, authErr, authRaw = true, err, raw
-			continue
-		}
-		if err == nil {
-			// DualWins counts only authority failures observed before the
-			// old leg answered; an authority still in flight here is left
-			// to the reaper unjudged.
-			if authDone && authErr != nil {
-				c.DualWins.Inc()
+			authErr, authRaw = err, raw
+		case err == nil:
+			// DualWins counts only authority failures (a breaker refusal
+			// included) observed before the old leg answered; an
+			// authority still in flight here is left to the reaper
+			// unjudged.
+			if authErr != nil {
+				r.c.DualWins.Inc()
 			}
 			r.abandon()
-			return raw, nil
+			return raw, true
 		}
-		oldDone = true
 	}
-	if !authDone {
-		_, authRaw, authErr = r.finish(r.wait(nil, nil), dst)
-	}
-	if authErr == nil {
-		return authRaw, nil
-	}
-	return r.resilientCall(rt, id, dst)
+	return authRaw, authErr == nil
 }
 
-// resilientCall runs one idempotent read against id's candidate ladder:
-// the primary goes to the first breaker-admitted candidate; if it dawdles
-// past the hedge delay a single duplicate races it from the next
-// candidate; failures walk the remaining ladder under the retry budget
-// with jittered exponential backoff. The first success wins.
-func (r *race) resilientCall(rt *routes, id model.ProfileID, dst []byte) ([]byte, error) {
-	c := r.c
-	psp := trace.StartLeaf(r.ctx, trace.StageClientPick)
-	var ladder [ladderLen]batchTarget
-	cands := c.candidates(rt, id, ladder[:0])
-	psp.End()
-	if len(cands) == 0 {
-		return dst, ErrNoInstances
-	}
-	c.budget.onPrimary()
-
-	var hedgeT, retryT *time.Timer
-	var hedgeCh, retryCh <-chan time.Time
-	var lastErr error
-	next, retries := 0, 0
-	// failed puts the ladder in retry mode after an attempt's failure: the
-	// hedge timer only guards against a *slow* healthy primary, and the
-	// next candidate is tried after a budgeted, jittered backoff.
-	failed := func(err error) {
-		lastErr = err
-		putTimer(hedgeT)
-		hedgeT, hedgeCh = nil, nil
-		if retryCh == nil && next < len(cands) {
-			if c.budget.allow() {
-				retryT = getTimer(c.boff.delay(retries))
-				retryCh = retryT.C
-				retries++
-			} else {
-				c.RetriesDenied.Inc()
-			}
-		}
-	}
-	// issue starts the next admissible candidate; breaker-refused ones are
-	// skipped (they fail fast locally instead of eating a timeout).
-	issue := func(kind attemptKind) bool {
-		for next < len(cands) {
-			tgt := cands[next]
-			next++
-			if c.Breaker != nil && !c.Breaker.Allow(tgt.addr) {
-				continue
-			}
-			if err := r.start(tgt, kind); err != nil {
-				failed(err)
-			}
+// answered reports whether an in-flight attempt's outcome is already in.
+func (r *race) answered() bool {
+	for i := range r.att {
+		if call := r.att[i].call; call != nil && len(call.Done()) > 0 {
 			return true
 		}
-		return false
 	}
+	return false
+}
 
-	if !issue(attemptPrimary) {
+// beginLadder picks id's candidates, earns the read its primary's share
+// of retry budget, starts the primary on the first breaker-admitted
+// candidate and arms the hedge timer — so a hedge fires hedgeDelay after
+// the primary started, however late drive gets to it.
+func (r *race) beginLadder() {
+	c := r.c
+	r.dual, r.spill, r.next, r.retries, r.lastErr = false, nil, 0, 0, nil
+	psp := trace.StartLeaf(r.ctx, trace.StageClientPick)
+	cands := c.candidates(r.rt, r.id, r.ladder[:0])
+	psp.End()
+	r.ncand = len(cands)
+	if r.ncand > ladderLen {
+		// Copied, not kept: cands may alias r.ladder.
+		r.spill = append([]target(nil), cands...)
+	}
+	if r.ncand == 0 {
+		r.lastErr = ErrNoInstances
+		return
+	}
+	c.budget.onPrimary()
+	if !r.issue(attemptPrimary) {
 		// Whole ladder breaker-refused: fail fast. The breakers admit
 		// probes once their cooldowns elapse, so this clears itself.
-		return dst, ErrBreakerOpen
+		r.lastErr = ErrBreakerOpen
+		return
 	}
-	if next < len(cands) && lastErr == nil {
+	if r.next < r.ncand && r.lastErr == nil {
 		if hd := c.hedgeDelay(); hd >= 0 {
-			hedgeT = getTimer(hd)
-			hedgeCh = hedgeT.C
+			r.hedgeT = getTimer(hd)
 		}
 	}
+}
+
+// cand returns the ladder's i-th candidate.
+func (r *race) cand(i int) target {
+	if r.spill != nil {
+		return r.spill[i]
+	}
+	return r.ladder[i]
+}
+
+// issue starts the next admissible candidate; breaker-refused ones are
+// skipped (they fail fast locally instead of eating a timeout).
+func (r *race) issue(kind attemptKind) bool {
+	for r.next < r.ncand {
+		tgt := r.cand(r.next)
+		r.next++
+		if r.c.Breaker != nil && !r.c.Breaker.Allow(tgt.addr) {
+			continue
+		}
+		if err := r.start(tgt, kind); err != nil {
+			r.failed(err)
+		}
+		return true
+	}
+	return false
+}
+
+// failed puts the ladder in retry mode after an attempt's failure: the
+// hedge timer only guards against a *slow* healthy primary, and the next
+// candidate is tried after a budgeted, jittered backoff.
+func (r *race) failed(err error) {
+	c := r.c
+	r.lastErr = err
+	putTimer(r.hedgeT)
+	r.hedgeT = nil
+	if r.retryT == nil && r.next < r.ncand {
+		if c.budget.allow() {
+			r.retryT = getTimer(c.boff.delay(r.retries))
+			r.retries++
+		} else {
+			c.RetriesDenied.Inc()
+		}
+	}
+}
+
+// driveLadder runs the ladder beginLadder started to its end — the one
+// loop every read's hedging, retries and backoff run in. A primary that
+// dawdles past the hedge delay is raced by a single duplicate from the
+// next candidate; failures walk the remaining candidates under the retry
+// budget with jittered exponential backoff. The first success wins.
+func (r *race) driveLadder(dst []byte) ([]byte, error) {
+	c := r.c
 	var raw []byte
 	won := false
-	for !won {
-		if r.inflight == 0 && retryCh == nil {
-			if lastErr == nil {
-				lastErr = ErrNoInstances
-			}
-			break
-		}
-		switch slot := r.wait(hedgeCh, retryCh); slot {
-		case firedFirst:
-			putTimer(hedgeT)
-			hedgeT, hedgeCh = nil, nil
-			if c.hedgeAcquire() && !issue(attemptHedge) {
+	for !won && (r.inflight > 0 || r.retryT != nil) {
+		switch slot := r.wait(); slot {
+		case firedHedge:
+			putTimer(r.hedgeT)
+			r.hedgeT = nil
+			// An attempt whose answer is already in is collected first: a
+			// batch drives its reads one after another, so a hedge timer
+			// can be long past due when drive gets to it.
+			if !r.answered() && c.hedgeAcquire() && !r.issue(attemptHedge) {
 				c.hedgeInFlight.Add(-1)
 			}
-		case firedSecond:
-			putTimer(retryT)
-			retryT, retryCh = nil, nil
-			issue(attemptRetry)
+		case firedRetry:
+			putTimer(r.retryT)
+			r.retryT = nil
+			r.issue(attemptRetry)
 		default:
 			kind, res, err := r.finish(slot, dst)
 			if err != nil {
-				failed(err)
+				r.failed(err)
 				break
 			}
 			if kind == attemptHedge {
@@ -454,11 +510,23 @@ func (r *race) resilientCall(rt *routes, id model.ProfileID, dst []byte) ([]byte
 			raw, won = res, true
 		}
 	}
-	putTimer(hedgeT)
-	putTimer(retryT)
+	putTimer(r.hedgeT)
+	putTimer(r.retryT)
+	r.hedgeT, r.retryT = nil, nil
 	r.abandon()
-	if !won {
-		return dst, lastErr
+	switch {
+	case won:
+		return raw, nil
+	case r.lastErr == nil:
+		return dst, ErrNoInstances
 	}
-	return raw, nil
+	return dst, r.lastErr
+}
+
+// timerC is t's channel; nil (never fires) for a nil timer.
+func timerC(t *time.Timer) <-chan time.Time {
+	if t == nil {
+		return nil
+	}
+	return t.C
 }

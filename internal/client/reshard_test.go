@@ -334,3 +334,38 @@ func TestAuthorityBreakerBlockedReadServesOldOwner(t *testing.T) {
 		t.Fatalf("attempt identity broken: %+v", post)
 	}
 }
+
+// TestBatchReadInWindowPrefersOldOwner pins the batch half of the window
+// read: a batch over keys inside a migration window takes each key's dual
+// read, so every slot carries the draining owner's copy — the data lives
+// nowhere else — instead of the incoming owner's empty profile.
+func TestBatchReadInWindowPrefersOldOwner(t *testing.T) {
+	cl, clock := newCluster(t, []string{"east"}, 3)
+	c := newClient(t, cl, "east")
+	c.opts.HedgeDelay = -1
+	now := clock.Now()
+	_, owned := openDrainWindow(t, cl, c, now)
+
+	subs := make([]wire.SubQuery, len(owned))
+	for i, id := range owned {
+		subs[i] = batchSub(id)
+	}
+	pre := c.Resilience()
+	resps, err := c.QueryBatch(subs)
+	if err != nil {
+		t.Fatalf("windowed batch: %v", err)
+	}
+	for i, resp := range resps {
+		id := owned[i]
+		if len(resp.Features) != 1 || resp.Features[0].Counts[0] != int64(id) {
+			t.Fatalf("slot %d (profile %d): %+v, want the draining owner's copy", i, id, resp.Features)
+		}
+	}
+	post := c.Resilience()
+	if got := post.Duals - pre.Duals; got != int64(len(owned)) {
+		t.Fatalf("duals = %d, want %d (one per windowed key)", got, len(owned))
+	}
+	if post.Attempts != post.Primaries+post.Retries+post.Hedges+post.Duals {
+		t.Fatalf("attempt identity broken: %+v", post)
+	}
+}

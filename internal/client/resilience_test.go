@@ -109,7 +109,7 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	}
 
 	// Batch path: every sub-query routed at the stalled instance must be
-	// rescued by a hedged group RPC.
+	// rescued by hedged reads.
 	var subs []wire.SubQuery
 	for id := model.ProfileID(1); id <= 30; id++ {
 		if c.route("east", id) == victimAddr {

@@ -18,6 +18,7 @@ package client
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -205,18 +206,6 @@ func (s *Subscription) assign() map[string]*assignment {
 	return out
 }
 
-func sameIDs(a, b []model.ProfileID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // reconcile closes streams whose owner assignment changed and opens
 // streams for owners that lack one.
 func (s *Subscription) reconcile() {
@@ -224,7 +213,7 @@ func (s *Subscription) reconcile() {
 	s.mu.Lock()
 	for addr, os := range s.streams {
 		w := want[addr]
-		if w == nil || !sameIDs(os.ids, w.ids) {
+		if w == nil || !slices.Equal(os.ids, w.ids) {
 			// Ring moved some of this stream's IDs: drop the whole stream
 			// and let the reopen (this pass or the next) pick up the new
 			// split. The replacement's Resync baseline re-establishes

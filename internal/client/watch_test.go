@@ -2,11 +2,13 @@ package client
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ips/internal/discovery"
 	"ips/internal/model"
+	"ips/internal/rpc"
 	"ips/internal/wire"
 )
 
@@ -210,4 +212,69 @@ func TestSubscribeSurvivesCrashRestart(t *testing.T) {
 	}
 	forceVisible(cl)
 	awaitValue(t, s, 2, 9)
+}
+
+// TestSubscriptionRecoversFromStreamOverflow stalls the application while
+// its owner pushes without pause: the client's stream buffer overflows,
+// the stream ends, and the subscription reopens it and takes the fresh
+// stream's baseline — without the application doing anything.
+func TestSubscriptionRecoversFromStreamOverflow(t *testing.T) {
+	srv := rpc.NewServer()
+	var opens atomic.Int32
+	flooded := make(chan struct{})
+	srv.HandleStream(wire.MethodSubWatch, func(ctx context.Context, _ []byte, st *rpc.ServerStream) error {
+		if opens.Add(1) == 1 {
+			// Push until the client gives up on the stream (bounded, in
+			// case it never does).
+			u := wire.EncodeSubUpdate(&wire.SubUpdate{ProfileID: 1, Seq: 1})
+			for i := 0; i < 1<<20 && ctx.Err() == nil; i++ {
+				if st.Send(u) != nil {
+					break
+				}
+			}
+			<-ctx.Done()
+			close(flooded)
+			return ctx.Err()
+		}
+		if err := st.Send(wire.EncodeSubUpdate(&wire.SubUpdate{ProfileID: 1, Seq: 1, Resync: true})); err != nil {
+			return err
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := discovery.NewRegistry(0)
+	reg.Register(discovery.Instance{Service: "ips", Addr: addr, Region: "east"})
+	c, err := New(Options{Caller: "test", Region: "east", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RefreshNow()
+
+	s, err := c.Subscribe(context.Background(), "source(up, 1) | slot(1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	select {
+	case <-flooded:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the flooded stream was never closed by the client")
+	}
+	// Now drain: the backlog the subscription already held, then the
+	// reopened stream's baseline.
+	for {
+		u := subRecv(t, s)
+		if u.Resync {
+			break
+		}
+	}
+	if got := opens.Load(); got != 2 {
+		t.Fatalf("owner saw %d stream opens, want 2 (the flooded one and its reopen)", got)
+	}
 }

@@ -39,6 +39,7 @@ type Disk struct {
 	SyncEvery int
 	sinceSync int
 	syncs     int64
+	buf       []byte // the record append is writing
 }
 
 const (
@@ -72,10 +73,14 @@ func OpenDisk(path string) (*Disk, error) {
 // replay rebuilds the index from the log, stopping at the first corrupt or
 // truncated record (the tail of a crashed write) and truncating it away.
 func (d *Disk) replay() error {
+	st, err := d.f.Stat()
+	if err != nil {
+		return fmt.Errorf("kv: stat: %w", err)
+	}
 	r := bufio.NewReader(d.f)
 	var off int64
 	for {
-		rec, n, err := readRecord(r)
+		rec, n, err := readRecord(r, st.Size()-off)
 		if err == io.EOF {
 			break
 		}
@@ -104,7 +109,12 @@ type record struct {
 	value   []byte
 }
 
-func readRecord(r *bufio.Reader) (record, int, error) {
+// readRecord reads and verifies one record from r, which holds remain
+// more bytes. A key or value length claiming more than that is a
+// truncated record, found before anything is allocated for it:
+// allocation tracks the bytes actually present, not what a corrupt
+// header says.
+func readRecord(r *bufio.Reader, remain int64) (record, int, error) {
 	var hdr [4 + 1 + 8 + 4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -120,12 +130,15 @@ func readRecord(r *bufio.Reader) (record, int, error) {
 	if keyLen > maxLen {
 		return record{}, 0, errors.New("kv: absurd key length")
 	}
+	n := len(hdr) + int(keyLen)
+	if int64(n) > remain {
+		return record{}, 0, errors.New("kv: truncated key")
+	}
 	key := make([]byte, keyLen)
 	if _, err := io.ReadFull(r, key); err != nil {
 		return record{}, 0, errors.New("kv: truncated key")
 	}
 	var value []byte
-	n := len(hdr) + int(keyLen)
 	if op == opSet {
 		var vl [4]byte
 		if _, err := io.ReadFull(r, vl[:]); err != nil {
@@ -135,11 +148,14 @@ func readRecord(r *bufio.Reader) (record, int, error) {
 		if valLen > maxLen {
 			return record{}, 0, errors.New("kv: absurd value length")
 		}
+		n += 4 + int(valLen)
+		if int64(n) > remain {
+			return record{}, 0, errors.New("kv: truncated value")
+		}
 		value = make([]byte, valLen)
 		if _, err := io.ReadFull(r, value); err != nil {
 			return record{}, 0, errors.New("kv: truncated value")
 		}
-		n += 4 + int(valLen)
 	}
 	// Verify CRC over op|version|keyLen|key|valLen|value.
 	h := crc32.NewIEEE()
@@ -157,34 +173,25 @@ func readRecord(r *bufio.Reader) (record, int, error) {
 	return record{op: op, version: version, key: string(key), value: value}, n, nil
 }
 
+// appendRecord appends one record in the log format to dst.
+func appendRecord(dst []byte, op byte, version uint64, key string, value []byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, op)
+	dst = binary.LittleEndian.AppendUint64(dst, version)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = append(dst, key...)
+	if op == opSet {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
+		dst = append(dst, value...)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(dst[start+4:]))
+	return dst
+}
+
 func (d *Disk) append(op byte, version uint64, key string, value []byte) error {
-	var hdr [4 + 1 + 8 + 4]byte
-	hdr[4] = op
-	binary.LittleEndian.PutUint64(hdr[5:], version)
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(len(key)))
-	h := crc32.NewIEEE()
-	h.Write(hdr[4:])
-	h.Write([]byte(key))
-	var vl [4]byte
-	if op == opSet {
-		binary.LittleEndian.PutUint32(vl[:], uint32(len(value)))
-		h.Write(vl[:])
-		h.Write(value)
-	}
-	binary.LittleEndian.PutUint32(hdr[0:], h.Sum32())
-	if _, err := d.w.Write(hdr[:]); err != nil {
+	d.buf = appendRecord(d.buf[:0], op, version, key, value)
+	if _, err := d.w.Write(d.buf); err != nil {
 		return err
-	}
-	if _, err := d.w.WriteString(key); err != nil {
-		return err
-	}
-	if op == opSet {
-		if _, err := d.w.Write(vl[:]); err != nil {
-			return err
-		}
-		if _, err := d.w.Write(value); err != nil {
-			return err
-		}
 	}
 	if err := d.w.Flush(); err != nil {
 		return err

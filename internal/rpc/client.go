@@ -150,6 +150,36 @@ func (c *Client) call(ctx context.Context, method string, payload, dst []byte) (
 //
 //ips:hotpath
 func (c *Client) Start(ctx context.Context, method string, payload []byte) (*Call, error) {
+	call, err := c.Queue(ctx, method, payload)
+	if err == nil {
+		// Other calls in flight: their callers are about to send again,
+		// so a yield before the write lets this frame share it with
+		// theirs.
+		call.cc.cw.flush(c.inflight.Load() > 1)
+	}
+	return call, err
+}
+
+// Flush writes the frames Queue left pending: one write for each of the
+// client's connections that has any, nothing for the others.
+func (c *Client) Flush() {
+	var arr [4]*clientConn
+	c.mu.Lock()
+	conns := append(arr[:0], c.conns...)
+	c.mu.Unlock()
+	for _, cc := range conns {
+		cc.cw.flush(false)
+	}
+}
+
+// Queue is Start without the write: the request frame waits in its
+// connection's write buffer until Flush (or any other caller's flush of
+// that connection) sends it. A caller with several calls to start queues
+// them all and then flushes each client once, so the frames leave in one
+// write per connection instead of one each.
+//
+//ips:hotpath
+func (c *Client) Queue(ctx context.Context, method string, payload []byte) (*Call, error) {
 	cc, err := c.pick(ctx)
 	if err != nil {
 		return nil, err
@@ -159,9 +189,7 @@ func (c *Client) Start(ctx context.Context, method string, payload []byte) (*Cal
 	call.c, call.cc, call.seq, call.method = c, cc, cc.seq.Add(1), method
 	call.tr = trace.FromContext(ctx)
 	call.span = trace.StartLeaf(ctx, trace.StageRPCRoundtrip)
-	// Other calls in flight: their callers are about to send again, so a
-	// yield before the write lets this frame share it with theirs.
-	others := c.inflight.Add(1) > 1
+	c.inflight.Add(1)
 	if !cc.register(call) {
 		call.span.EndErr(ErrClosed)
 		call.release()
@@ -175,7 +203,7 @@ func (c *Client) Start(ctx context.Context, method string, payload []byte) (*Cal
 	if call.span.Active() {
 		f.kind, f.traceID, f.parentSpan = kindRequestTraced, call.tr.ID, call.span.ID()
 	}
-	if err := cc.cw.push(f, others); err != nil {
+	if err := cc.cw.queue(f); err != nil {
 		// Nothing was queued: the frame is too large, or the connection
 		// is already failing. If teardown (or the timer) took the call
 		// first, its signal is on the way; consume it so the call can

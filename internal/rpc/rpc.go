@@ -40,7 +40,10 @@
 // are in flight has its leader yield once before writing a small batch,
 // so that the other runnable callers join it. Pipelined calls therefore
 // form batches — N frames per write and per read in both
-// directions — without any caller waiting on a timer.
+// directions — without any caller waiting on a timer. A caller with many
+// calls to make at once says so instead of relying on the yield: Queue
+// starts a call without writing it, and one Flush per client then sends
+// every queued frame in one write per connection.
 //
 // The server has one handler shape (Handler) and runs every request
 // through one body (serve); only where that body runs differs. The read
@@ -506,38 +509,22 @@ func appendFrame(dst []byte, f outFrame) ([]byte, error) {
 	if frameLen > MaxFrameSize {
 		return dst, ErrFrameTooLarge
 	}
-	dst = appendUint32(dst, uint32(frameLen))
-	dst = appendUint64(dst, f.seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
+	dst = binary.LittleEndian.AppendUint64(dst, f.seq)
 	dst = append(dst, f.kind)
 	switch f.kind {
 	case kindRequest, kindStreamOpen, kindRequestTraced:
-		dst = appendUint16(dst, uint16(len(f.method)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.method)))
 		dst = append(dst, f.method...)
 		if f.kind == kindRequestTraced {
-			dst = appendUint64(dst, f.traceID)
-			dst = appendUint64(dst, f.parentSpan)
+			dst = binary.LittleEndian.AppendUint64(dst, f.traceID)
+			dst = binary.LittleEndian.AppendUint64(dst, f.parentSpan)
 		}
 	case kindResponseTraced:
-		dst = appendUint32(dst, uint32(len(f.blob)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.blob)))
 		dst = append(dst, f.blob...)
 	}
 	return append(dst, f.payload...), nil
-}
-
-//ips:hotpath
-func appendUint16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v), byte(v>>8))
-}
-
-//ips:hotpath
-func appendUint32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-//ips:hotpath
-func appendUint64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 // parseFrame decodes a frame from raw (the bytes after the length

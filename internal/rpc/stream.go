@@ -15,9 +15,11 @@ package rpc
 // sequence-ID namespace is shared, so a data frame dispatches to its
 // stream exactly like a response dispatches to its call. A slow stream
 // consumer must not head-of-line block the calls sharing its connection,
-// so the client buffers received frames in an unbounded per-stream queue;
-// bounding the damage a slow consumer can do is the pushing layer's job
-// (internal/sub drops and resyncs), not the transport's.
+// so the client buffers received frames in a per-stream queue. The queue
+// is bounded: a consumer that falls maxStreamBacklog frames behind loses
+// the stream (ErrStreamOverflow) and reopens it, so the peer cannot set
+// this process's memory. Shedding load gracefully before that is the
+// pushing layer's job (internal/sub drops and resyncs).
 
 import (
 	"context"
@@ -134,10 +136,20 @@ func (s *Server) startStream(cw *connWriter, cs *connStreams, seq uint64, method
 	}()
 }
 
+// maxStreamBacklog bounds the frames a ClientStream buffers for its Recv
+// caller. It sits far above the 64-deep queue a server keeps per
+// subscriber, so only a consumer that has stopped receiving reaches it.
+const maxStreamBacklog = 4096
+
+// ErrStreamOverflow ends a stream whose receiver fell maxStreamBacklog
+// frames behind: the backlog is dropped, the server is told to close, and
+// the receiver reopens the stream to catch up from a fresh start.
+var ErrStreamOverflow = errors.New("rpc: stream receiver fell too far behind")
+
 // ClientStream is the client-side receive half of one open stream.
-// Frames the server pushed are buffered without bound so a slow Recv
-// caller cannot stall the pooled connection the stream shares with
-// ordinary calls.
+// Frames the server pushed are buffered so a slow Recv caller cannot
+// stall the pooled connection the stream shares with ordinary calls, up
+// to maxStreamBacklog of them.
 type ClientStream struct {
 	cc     *clientConn
 	seq    uint64
@@ -184,7 +196,8 @@ func (c *Client) Stream(ctx context.Context, method string, payload []byte) (*Cl
 // Recv returns the next pushed payload (caller-owned storage). It blocks
 // until a frame arrives, the stream ends, or ctx is done. A clean server
 // close yields io.EOF after the buffered frames drain; a server error
-// yields it as a *RemoteError.
+// yields it as a *RemoteError; a receiver that fell maxStreamBacklog
+// frames behind gets ErrStreamOverflow, with the backlog gone.
 func (st *ClientStream) Recv(ctx context.Context) ([]byte, error) {
 	for {
 		st.mu.Lock()
@@ -211,19 +224,35 @@ func (st *ClientStream) Recv(ctx context.Context) ([]byte, error) {
 // and any blocked or future Recv returns ErrClosed (after buffered
 // frames drain). Safe to call more than once.
 func (st *ClientStream) Close() error {
-	st.cc.removeStream(st.seq)
-	st.finish(ErrClosed)
-	_ = st.cc.cw.push(outFrame{seq: st.seq, kind: kindStreamClose}, false)
+	st.end(ErrClosed)
 	return nil
+}
+
+// end ends the stream from this side with err: it stops taking frames,
+// wakes Recv and sends the server the close.
+func (st *ClientStream) end(err error) {
+	st.cc.removeStream(st.seq)
+	st.finish(err)
+	_ = st.cc.cw.push(outFrame{seq: st.seq, kind: kindStreamClose}, false)
 }
 
 // deliver copies one pushed frame into the stream's queue. Called only
 // from the connection's read loop; payload aliases the reusable read
-// buffer and is copied out here.
+// buffer and is copied out here. A full queue is dropped instead, and
+// the stream ended with ErrStreamOverflow.
 func (st *ClientStream) deliver(payload []byte) {
 	st.mu.Lock()
-	st.queue = append(st.queue, append([]byte(nil), payload...))
+	full := len(st.queue) == maxStreamBacklog
+	if full {
+		st.queue = nil
+	} else {
+		st.queue = append(st.queue, append([]byte(nil), payload...))
+	}
 	st.mu.Unlock()
+	if full {
+		st.end(ErrStreamOverflow)
+		return
+	}
 	st.signal()
 }
 

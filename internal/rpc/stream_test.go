@@ -267,3 +267,56 @@ func TestStreamRecvContextCanceled(t *testing.T) {
 		t.Fatalf("recv = %v, want deadline exceeded", err)
 	}
 }
+
+// TestStreamBacklogBounded stalls the receiver while the server pushes
+// more frames than the client buffers: the stream ends with
+// ErrStreamOverflow, the backlog is dropped rather than grown, and the
+// server's handler is told to stop.
+func TestStreamBacklogBounded(t *testing.T) {
+	s := NewServer()
+	stopped := make(chan struct{})
+	s.HandleStream("flood", func(ctx context.Context, _ []byte, st *ServerStream) error {
+		for i := 0; i < maxStreamBacklog+100; i++ {
+			if err := st.Send([]byte("frame")); err != nil {
+				break
+			}
+		}
+		<-ctx.Done()
+		close(stopped)
+		return ctx.Err()
+	})
+	s.Handle("echo", func(_ context.Context, p, _ []byte) ([]byte, error) { return p, nil })
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := NewClient(addr)
+	defer c.Close()
+
+	st, err := c.Stream(context.Background(), "flood", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// Receive nothing until the server has been told to stop: only the
+	// overflow can tell it.
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server handler never saw the overflow close")
+	}
+	st.mu.Lock()
+	backlog := len(st.queue)
+	st.mu.Unlock()
+	if backlog != 0 {
+		t.Fatalf("backlog %d frames after overflow, want it dropped", backlog)
+	}
+	if _, err := st.Recv(context.Background()); !errors.Is(err, ErrStreamOverflow) {
+		t.Fatalf("Recv after overflow: %v, want ErrStreamOverflow", err)
+	}
+	// The connection the stream shared is unharmed.
+	if got, err := c.Call("echo", []byte("ok")); err != nil || string(got) != "ok" {
+		t.Fatalf("call after overflow = %q, %v", got, err)
+	}
+}

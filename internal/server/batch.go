@@ -28,6 +28,10 @@ const batchWorkers = 8
 // the group evaluated on one pooled query scratch (runGroup); groups run
 // on a bounded worker pool. Quota is charged per sub-query, exactly as N
 // single calls would be.
+//
+// Only the ips.query_batch2 handler and the benchmark's traced run call
+// it: a client batch is N single reads (DESIGN.md "Batched reads"). It is
+// kept until the benchmark stops calling it.
 func (in *Instance) QueryBatch(caller string, subs []wire.SubQuery) []wire.BatchResult {
 	return in.QueryBatchCtx(context.Background(), caller, subs)
 }

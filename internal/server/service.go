@@ -148,7 +148,10 @@ func (s *Service) register() {
 
 	// The batch read answers with a shared-structure response: each
 	// distinct response body is encoded once and duplicate slots carry
-	// references (DESIGN.md "Batch v2").
+	// references (DESIGN.md "Batch v2"). The client no longer sends it —
+	// a client batch is N single reads — but the benchmark's traced run
+	// times this method and Instance.QueryBatchCtx by name, so it stays
+	// until the benchmark stops calling it.
 	s.srv.Handle(wire.MethodQueryBatchV2, func(ctx context.Context, payload, _ []byte) ([]byte, error) {
 		req, err := wire.DecodeQueryBatch(payload)
 		if err != nil {

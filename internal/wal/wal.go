@@ -221,10 +221,14 @@ func Open(path string, opts Options) (*Journal, error) {
 // replay loads the journal into memory, stopping at (and truncating) the
 // first corrupt or torn record.
 func (j *Journal) replay() error {
+	st, err := j.f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: stat: %w", err)
+	}
 	r := bufio.NewReader(j.f)
 	var off int64
 	for {
-		rec, n, err := readFrame(r)
+		rec, n, err := readFrame(r, st.Size()-off)
 		if err == io.EOF {
 			break
 		}
@@ -453,8 +457,11 @@ func buildFrame(op Op, lsn uint64, payload []byte) []byte {
 	return frame
 }
 
-// readFrame reads and verifies one frame.
-func readFrame(r *bufio.Reader) (Record, int, error) {
+// readFrame reads and verifies one frame from r, which holds remain more
+// bytes. A length field claiming more than that is a torn record, found
+// before anything is allocated for it: allocation tracks the bytes
+// actually present, not what a corrupt header says.
+func readFrame(r *bufio.Reader, remain int64) (Record, int, error) {
 	var hdr [frameHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -465,6 +472,9 @@ func readFrame(r *bufio.Reader) (Record, int, error) {
 	plen := binary.LittleEndian.Uint32(hdr[13:])
 	if plen > maxPayload {
 		return Record{}, 0, errors.New("wal: absurd payload length")
+	}
+	if int64(plen) > remain-frameHdrLen {
+		return Record{}, 0, errors.New("wal: torn payload")
 	}
 	frame := make([]byte, frameHdrLen+int(plen))
 	copy(frame, hdr[:])

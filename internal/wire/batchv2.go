@@ -14,6 +14,10 @@ import (
 // of the same hot profile) ask the same question many times and get the
 // same answer — the encoding pays the codec CPU and wire bytes for that
 // answer once.
+//
+// The client no longer sends it: a client batch is N single reads
+// (DESIGN.md "Batched reads"). The method, its codecs and their fuzzers
+// stay because the benchmark's traced run (benchmark/trace.go) calls them.
 const MethodQueryBatchV2 = "ips.query_batch2"
 
 // Field numbers for the v2 batch response.

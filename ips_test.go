@@ -259,6 +259,10 @@ func TestRemoteQueryBatchFacade(t *testing.T) {
 			Query: Query{Slot: 1, Type: 1, Window: LastDays(1), Decay: ExpDecay, DecayFactor: 0.5}},
 		BatchItem{Table: "ghost", ID: 1, Op: OpTopK, Query: q},
 	)
+	served := make(map[string]int64)
+	for _, n := range cl.Nodes() {
+		served[n.Addr] = n.Instance().Stats().Queries
+	}
 	feats, err := r.QueryBatch(items)
 	if !errors.Is(err, ErrPartial) {
 		t.Fatalf("err = %v, want ErrPartial (the ghost-table slot)", err)
@@ -277,13 +281,12 @@ func TestRemoteQueryBatchFacade(t *testing.T) {
 	if feats[9] != nil {
 		t.Fatalf("failed slot carries features: %+v", feats[9])
 	}
-	// The 10-item batch coalesced to one first-round RPC per instance;
-	// only the failing slot cost extra failover RPCs afterwards.
-	if fan := r.Client().BatchFanOut.Value(); fan != 2 {
-		t.Fatalf("first-round fan-out %d across 2 instances", fan)
-	}
-	if rpcs := r.Client().BatchRPCs.Value(); rpcs > 4 {
-		t.Fatalf("batch cost %d RPCs for a 2-shard cluster", rpcs)
+	// Every sub-query was a read of its own, served by its ring owner:
+	// both instances served their share.
+	for _, n := range cl.Nodes() {
+		if n.Instance().Stats().Queries-served[n.Addr] == 0 {
+			t.Fatalf("%s served none of the batch's sub-queries", n.Addr)
+		}
 	}
 }
 

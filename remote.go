@@ -103,11 +103,11 @@ func (r *Remote) DecayQuery(table string, id model.ProfileID, q Query) ([]Featur
 	return resp.Features, nil
 }
 
-// QueryBatch executes many profile reads in one coalesced pass: items are
-// grouped by owning instance via the hash ring and each group travels in a
-// single RPC — a ranking request for hundreds of candidates costs one RPC
-// per shard touched instead of one per candidate (§II, §IV). Results come
-// back in item order. On partial failure the successful slots are still
+// QueryBatch executes many profile reads at once: each item is a read of
+// its own, routed to its owning instance, and all of them are sent before
+// any is awaited — one write per connection — so a ranking request for
+// hundreds of candidates waits about one round trip, not one per
+// candidate (§II, §IV). Results come back in item order. On partial failure the successful slots are still
 // returned, failed slots are nil, and the error satisfies
 // errors.Is(err, ErrPartial) and lists the failed indices.
 func (r *Remote) QueryBatch(items []BatchItem) ([][]Feature, error) {

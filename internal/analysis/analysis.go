@@ -53,7 +53,8 @@ type Pass struct {
 	// frontier). Never nil when driven through RunPackages.
 	Facts *Facts
 
-	diags *[]Diagnostic
+	exports *Exports
+	diags   *[]Diagnostic
 }
 
 // Facts is the cross-package pre-pass result shared by all passes in one
@@ -62,7 +63,7 @@ type Pass struct {
 // methods (pointer receivers are keyed by the element type).
 type Facts struct {
 	// HotpathMarked holds functions annotated //ips:hotpath — their
-	// bodies are machine-checked allocation-free.
+	// bodies are machine-checked free of heap escapes.
 	HotpathMarked map[string]bool
 	// HotpathTrusted holds functions annotated //ips:hotpath-trust
 	// <reason> — callable from the hot path but hand-vetted rather than

@@ -29,7 +29,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := CollectFacts(pkgs)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		all = append(all, runPackage(pkg, analyzers, facts)...)
+		all = append(all, applyIgnores(pkg, runPackage(pkg, analyzers, facts))...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -47,6 +47,8 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return all
 }
 
+// runPackage runs the analyzers over one package and returns their
+// diagnostics before any //ipslint:ignore directive applies.
 func runPackage(pkg *Package, analyzers []*Analyzer, facts *Facts) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -57,11 +59,12 @@ func runPackage(pkg *Package, analyzers []*Analyzer, facts *Facts) []Diagnostic 
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
 			Facts:    facts,
+			exports:  pkg.exports,
 			diags:    &diags,
 		}
 		a.Run(pass)
 	}
-	return applyIgnores(pkg, diags)
+	return diags
 }
 
 // CollectFacts is the pre-pass over every package in a run: it scans

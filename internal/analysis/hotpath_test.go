@@ -49,15 +49,7 @@ func TestHotpathFactsPropagation(t *testing.T) {
 // must contain representative symbols from each layer, or the
 // interprocedural rule would be vacuously green.
 func TestHotpathFactsCoverLiveTree(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("finding module root: %v", err)
-	}
-	pkgs, _, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	facts := CollectFacts(pkgs)
+	facts := CollectFacts(liveModule(t))
 	for _, sym := range []string{
 		"ips/internal/codec.Reader.Uint64",
 		"ips/internal/wire.DecodeQueryInto",

@@ -10,6 +10,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"go/version"
 	"io"
 	"os"
 	"os/exec"
@@ -25,6 +26,8 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	exports *Exports
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.
@@ -35,7 +38,11 @@ type listedPkg struct {
 	Standard   bool
 	Export     string
 	GoFiles    []string
-	Module     *struct{ Path string }
+	Module     *struct {
+		Path      string
+		Main      bool
+		GoVersion string
+	}
 }
 
 // Exports holds the compiled export data `go list -export` produced for
@@ -43,6 +50,9 @@ type listedPkg struct {
 // module packages (or fixtures) from source.
 type Exports struct {
 	listed map[string]*listedPkg
+	// lang is the main module's go.mod language version ("go1.22"),
+	// which hotpathalloc compiles under.
+	lang string
 }
 
 // FindModuleRoot walks up from dir to the directory containing go.mod.
@@ -77,7 +87,7 @@ func LoadExports(root string, extras ...string) (*Exports, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.String())
 	}
-	pkgs := make(map[string]*listedPkg)
+	exp := &Exports{listed: make(map[string]*listedPkg)}
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p listedPkg
@@ -86,9 +96,12 @@ func LoadExports(root string, extras ...string) (*Exports, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: go list decode: %v", err)
 		}
-		pkgs[p.ImportPath] = &p
+		exp.listed[p.ImportPath] = &p
+		if p.Module != nil && p.Module.Main {
+			exp.lang = version.Lang("go" + p.Module.GoVersion)
+		}
 	}
-	return &Exports{listed: pkgs}, nil
+	return exp, nil
 }
 
 // importer resolves imports from the compiled export data, so every
@@ -129,7 +142,7 @@ func (e *Exports) Check(path string, fset *token.FileSet, files []*ast.File) (*P
 	if len(files) > 0 {
 		dir = filepath.Dir(fset.Position(files[0].Pos()).Filename)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Pkg: tpkg, Info: info}, nil
+	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Pkg: tpkg, Info: info, exports: e}, nil
 }
 
 // LoadModule type-checks every non-test package of the module rooted at

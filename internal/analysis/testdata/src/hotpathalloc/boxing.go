@@ -1,14 +1,14 @@
 //ipslint:fixturepath fixture/hotbox
 
-// Interface boxing at call sites (the fmt trap), returns, assignments,
-// and the pointer-shaped exemption.
+// Interface boxing at call sites (the fmt trap), returns and
+// assignments, and the pointer-shaped case that boxes for free.
 package hotbox
 
 import "fmt"
 
 //ips:hotpath
 func printing(v int) {
-	fmt.Println(v) // want "argument boxes int" want "variadic call materializes" want "not on the hot-path allowlist"
+	fmt.Println(v) // want "v escapes to heap" want "not on the hot-path allowlist"
 }
 
 //ips:hotpath
@@ -26,12 +26,12 @@ var is sink
 
 //ips:hotpath
 func assignBox(v impl) {
-	is = v // want "assignment boxes"
+	is = v // want "v escapes to heap"
 }
 
 //ips:hotpath
 func returnBox(v impl) any {
-	return v // want "return boxes"
+	return v // want "v escapes to heap"
 }
 
 //ips:hotpath
@@ -41,10 +41,17 @@ func ptrBoxFree(p *impl) any {
 
 type ctxKey struct{}
 
-// zeroBoxFree: boxing a zero-sized value reuses the runtime's shared
-// zero base — the context-key idiom must stay clean.
+// zeroBox: a zero-sized value never allocates, but the compiler reports
+// its conversion; box it once into a package-level variable instead.
 //
 //ips:hotpath
-func zeroBoxFree() any {
-	return ctxKey{}
+func zeroBox() any {
+	return ctxKey{} // want "ctxKey\{\} escapes to heap"
+}
+
+var boxedKey any = ctxKey{}
+
+//ips:hotpath
+func zeroBoxHoisted() any {
+	return boxedKey
 }

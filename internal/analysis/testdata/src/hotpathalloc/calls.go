@@ -2,6 +2,8 @@
 
 // The interprocedural marking rule: same-module callees must be marked
 // or trusted, foreign callees must be allowlisted, trust needs a reason.
+// A callee the rule accepts answers for its own body, so its escapes,
+// inlined at the call's '(', are not reported in the caller.
 package hotcalls
 
 import (
@@ -34,6 +36,23 @@ func pooled() *int { return new(int) }
 //ips:hotpath
 func usesTrusted() *int {
 	return pooled()
+}
+
+func unmarkedAlloc() *int { return new(int) }
+
+//ips:hotpath
+func usesUnmarked() *int {
+	return unmarkedAlloc() // want "not marked //ips:hotpath" want "new\(int\) escapes to heap"
+}
+
+var kept *int
+
+//ips:hotpath-trust retains its argument, vetted by hand
+func retain(p *int) { kept = p }
+
+//ips:hotpath
+func argumentEscapes() {
+	retain(new(int)) // want "new\(int\) escapes to heap"
 }
 
 //ips:hotpath-trust

@@ -90,7 +90,7 @@ func RunFig17(opts Fig17Options, w io.Writer) (*Fig17Report, error) {
 	c, err := client.New(client.Options{
 		Caller: "fig17", Service: "ips", Region: regions[0],
 		Registry: cl.Registry, RefreshInterval: 50 * time.Millisecond,
-		CallTimeout: 100 * time.Millisecond, Retries: 2,
+		CallTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, err

@@ -57,7 +57,7 @@ type Fig18Report struct {
 }
 
 // RunFig18 regenerates Fig. 18: Zipf reads and writes against a corpus
-// several times larger than the cache budget, with swap threads holding
+// several times larger than the cache budget, with the swap thread holding
 // usage at the watermark; the hit ratio stays high (>90% in the paper)
 // because the popular head fits in memory.
 func RunFig18(opts Fig18Options, w io.Writer) (*Fig18Report, error) {
@@ -98,7 +98,7 @@ func RunFig18(opts Fig18Options, w io.Writer) (*Fig18Report, error) {
 		env.Instance.MergeAll()
 		// One deterministic eviction pass per tick: the simulation
 		// compresses hours into milliseconds, so the swap cadence must
-		// compress with it (real-time swap threads also run).
+		// compress with it (the real-time swap thread also runs).
 		if err := env.Instance.EvictToWatermark(TableName); err != nil {
 			return nil, err
 		}

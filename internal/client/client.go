@@ -72,9 +72,6 @@ type Options struct {
 	RefreshInterval time.Duration
 	// CallTimeout bounds each RPC; default 1s.
 	CallTimeout time.Duration
-	// Retries is how many alternate instances a failed query tries
-	// (regional failover, §III-G); default 2.
-	Retries int
 
 	// HedgeDelay is how long a read waits on its primary before issuing a
 	// duplicate to the next replica and taking the first success. 0 means
@@ -259,9 +256,6 @@ func New(opts Options) (*Client, error) {
 	}
 	if opts.CallTimeout <= 0 {
 		opts.CallTimeout = time.Second
-	}
-	if opts.Retries <= 0 {
-		opts.Retries = 2
 	}
 	if opts.RetryBudgetRatio == 0 {
 		opts.RetryBudgetRatio = 0.2

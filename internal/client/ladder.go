@@ -246,9 +246,14 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// ladderLen is the stack capacity of a read's candidate list: Retries (2
-// by default) candidates in each of up to four regions. A longer ladder
-// spills to the heap.
+// ladderPerRegion is how many ring instances a read's ladder takes from
+// each region: the owner and its successor, so a failed query fails over
+// within the region before leaving it (§III-G).
+const ladderPerRegion = 2
+
+// ladderLen is the stack capacity of a read's candidate list:
+// ladderPerRegion candidates in each of up to four regions. A longer
+// ladder spills to the heap.
 const ladderLen = 8
 
 // candidates appends to dst the failover ladder for id — ring owner plus
@@ -261,7 +266,7 @@ func (c *Client) candidates(rt *routes, id model.ProfileID, dst []target) []targ
 	var addrArr [ladderLen]string
 	for _, rs := range rt.regions {
 	nextAddr:
-		for _, addr := range rs.ring.AppendN(addrArr[:0], id, c.opts.Retries) {
+		for _, addr := range rs.ring.AppendN(addrArr[:0], id, ladderPerRegion) {
 			for _, have := range dst {
 				if have.addr == addr {
 					continue nextAddr

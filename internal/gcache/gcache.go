@@ -1,7 +1,7 @@
 // Package gcache implements GCache, the write-back cache at the core of
 // IPS's compute-cache layer (§III-C, Figs 7–9):
 //
-//   - an LRU list sharded by profile ID; swap threads evict cold profiles
+//   - an LRU list sharded by profile ID; one swap thread evicts cold profiles
 //     when memory exceeds a threshold, starting from the largest shard and
 //     skipping lock-contended entries with TryLock (Fig. 8);
 //   - a dirty list, also sharded, drained by flush threads that persist
@@ -36,7 +36,7 @@ import (
 
 // Options configures a GCache.
 type Options struct {
-	// MemLimit is the eviction threshold in bytes; swap threads evict
+	// MemLimit is the eviction threshold in bytes; the swap thread evicts
 	// until usage falls below it. <= 0 disables eviction.
 	MemLimit int64
 	// MemLowWater, when set, is the target usage eviction drives down to
@@ -58,8 +58,6 @@ type Options struct {
 	// FlushThreads must be a positive multiple of DirtyShards; default
 	// DirtyShards.
 	FlushThreads int
-	// SwapThreads is the number of eviction workers; default 1.
-	SwapThreads int
 	// FlushInterval is the dirty-list scan cadence; default 100ms.
 	FlushInterval time.Duration
 	// SwapInterval is the memory-check cadence; default 100ms.
@@ -92,9 +90,6 @@ func (o *Options) fill() error {
 	}
 	if o.FlushThreads%o.DirtyShards != 0 {
 		return errors.New("gcache: FlushThreads must be a multiple of DirtyShards")
-	}
-	if o.SwapThreads <= 0 {
-		o.SwapThreads = 1
 	}
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 100 * time.Millisecond
@@ -241,15 +236,13 @@ func New(table *model.Table, ps *persist.Persister, opts Options) (*GCache, erro
 	return g, nil
 }
 
-// Start launches the swap and flush threads.
+// Start launches the swap thread and the flush threads.
 func (g *GCache) Start() {
 	if g.started.Swap(true) {
 		return
 	}
-	for i := 0; i < g.opts.SwapThreads; i++ {
-		g.wg.Add(1)
-		go g.swapLoop()
-	}
+	g.wg.Add(1)
+	go g.swapLoop()
 	for t := 0; t < g.opts.FlushThreads; t++ {
 		g.wg.Add(1)
 		go g.flushLoop(t % g.opts.DirtyShards)

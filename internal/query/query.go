@@ -247,7 +247,7 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch returns a pooled Scratch.
 //
-//ips:hotpath-trust pool misses allocate once; the steady state recycles
+//ips:hotpath
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // PutScratch recycles sc. The caller must be done with every Result

@@ -184,7 +184,6 @@ func (c *Client) Queue(ctx context.Context, method string, payload []byte) (*Cal
 	if err != nil {
 		return nil, err
 	}
-	//ipslint:ignore hotpathalloc sync.Pool misses allocate a fresh call by design; steady-state Get reuses
 	call := callPool.Get().(*Call)
 	call.c, call.cc, call.seq, call.method = c, cc, cc.seq.Add(1), method
 	call.tr = trace.FromContext(ctx)
@@ -240,7 +239,6 @@ func (call *Call) Finish(dst []byte) ([]byte, error) {
 		}
 	}
 	if err == nil {
-		//ipslint:ignore hotpathalloc appending into a caller-reused dst does not allocate; a nil dst asks for a fresh copy
 		dst = append(dst, call.buf...)
 	}
 	call.release()
@@ -310,7 +308,6 @@ func (cc *clientConn) register(call *Call) bool {
 	cc.mu.Lock()
 	ok := !cc.dead.Load()
 	if ok {
-		//ipslint:ignore hotpathalloc the pending map reuses cells freed by completed calls once the in-flight high-water mark is reached
 		cc.pending[call.seq] = call
 	}
 	cc.mu.Unlock()

@@ -413,7 +413,6 @@ func (s *Server) serve(cw *connWriter, f frame, h Handler, tr *trace.Trace, dst 
 	out := outFrame{seq: f.seq, kind: kindResponse, payload: resp}
 	switch {
 	case herr != nil:
-		//ipslint:ignore hotpathalloc error responses materialize the message; errors are off the steady state
 		out.kind, out.payload = kindError, []byte(herr.Error())
 	case f.kind == kindRequestTraced:
 		//ipslint:ignore hotpathalloc span encoding is the traced path, which runs on goroutines

@@ -282,7 +282,6 @@ func (cw *connWriter) lead(rounds int) {
 	cw.taken.Broadcast()
 	cw.mu.Unlock()
 	if handOff {
-		//ipslint:ignore hotpathalloc the hand-off goroutine starts only when frames kept arriving through leaderRounds writes
 		go cw.lead(-1)
 	}
 	if err != nil {

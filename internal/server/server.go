@@ -888,7 +888,7 @@ func (in *Instance) EvictProfile(table string, id model.ProfileID) (bool, error)
 }
 
 // EvictToWatermark runs one synchronous eviction pass on table's cache.
-// The background swap threads do this continuously in real time; harnesses
+// The background swap thread does this continuously in real time; harnesses
 // that compress simulated time call it explicitly so maintenance cadence
 // matches the accelerated clock.
 func (in *Instance) EvictToWatermark(table string) error {

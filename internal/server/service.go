@@ -43,7 +43,7 @@ var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 // struct recycles as the handler returns — safe because the encode has
 // already copied every feature out of the scratch columns into dst.
 //
-//ips:hotpath-trust the pool round-trip and deferred put are the pooled-scratch contract; every stage inside is individually hot-checked
+//ips:hotpath
 func (s *Service) fastQuery(ctx context.Context, payload, dst []byte) ([]byte, error) {
 	qs := queryScratchPool.Get().(*queryScratch)
 	defer queryScratchPool.Put(qs)

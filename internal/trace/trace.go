@@ -340,6 +340,11 @@ func (s SpanRef) SetFlags(flags uint8) {
 // ctxKey carries a (trace, current-parent-span) pair through a context.
 type ctxKey struct{}
 
+// spanKey is the one boxed ctxKey every lookup passes, so no call
+// converts a key to an interface: a zero-sized value never allocates,
+// but the compiler still reports that conversion as a heap escape.
+var spanKey any = ctxKey{}
+
 type spanCtx struct {
 	tr     *Trace
 	parent uint64
@@ -351,14 +356,14 @@ func NewContext(ctx context.Context, tr *Trace) context.Context {
 	if tr == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, spanCtx{tr: tr})
+	return context.WithValue(ctx, spanKey, spanCtx{tr: tr})
 }
 
 // FromContext returns the Trace carried by ctx, or nil.
 //
 //ips:hotpath
 func FromContext(ctx context.Context) *Trace {
-	sc, _ := ctx.Value(ctxKey{}).(spanCtx)
+	sc, _ := ctx.Value(spanKey).(spanCtx)
 	return sc.tr
 }
 
@@ -369,12 +374,12 @@ func FromContext(ctx context.Context) *Trace {
 //
 //ips:hotpath-trust sampled-in spans allocate a derived context by design; the sampled-out branch returns the shared no-op with zero allocations
 func StartSpan(ctx context.Context, stage Stage) (context.Context, SpanRef) {
-	sc, _ := ctx.Value(ctxKey{}).(spanCtx)
+	sc, _ := ctx.Value(spanKey).(spanCtx)
 	if sc.tr == nil {
 		return ctx, SpanRef{}
 	}
 	id, idx := sc.tr.start(sc.parent, stage, time.Now())
-	return context.WithValue(ctx, ctxKey{}, spanCtx{tr: sc.tr, parent: id}),
+	return context.WithValue(ctx, spanKey, spanCtx{tr: sc.tr, parent: id}),
 		SpanRef{tr: sc.tr, idx: idx, id: id}
 }
 
@@ -384,7 +389,7 @@ func StartSpan(ctx context.Context, stage Stage) (context.Context, SpanRef) {
 //
 //ips:hotpath
 func StartLeaf(ctx context.Context, stage Stage) SpanRef {
-	sc, _ := ctx.Value(ctxKey{}).(spanCtx)
+	sc, _ := ctx.Value(spanKey).(spanCtx)
 	if sc.tr == nil {
 		return SpanRef{}
 	}

@@ -54,6 +54,7 @@ type Pass struct {
 	Facts *Facts
 
 	exports *Exports
+	escapes *compiled
 	diags   *[]Diagnostic
 }
 

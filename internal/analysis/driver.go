@@ -27,6 +27,11 @@ func (d Diagnostic) String() string {
 // sorted by position.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := CollectFacts(pkgs)
+	for _, a := range analyzers {
+		if a == HotPathAlloc {
+			precompile(pkgs)
+		}
+	}
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		all = append(all, applyIgnores(pkg, runPackage(pkg, analyzers, facts))...)
@@ -60,6 +65,7 @@ func runPackage(pkg *Package, analyzers []*Analyzer, facts *Facts) []Diagnostic 
 			Info:     pkg.Info,
 			Facts:    facts,
 			exports:  pkg.exports,
+			escapes:  pkg.escapes,
 			diags:    &diags,
 		}
 		a.Run(pass)

@@ -9,8 +9,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // hotpathalloc: functions annotated //ips:hotpath must not heap-allocate.
@@ -126,25 +128,38 @@ var hotAllowSyms = map[string]bool{
 	"runtime.Gosched": true,
 }
 
-func runHotPathAlloc(pass *Pass) {
+// hotFuncs returns the functions whose bodies hotpathalloc checks: those
+// marked //ips:hotpath and not trusted. Trusted functions are hand-vetted:
+// callable from the hot path, body not machine-checked.
+func hotFuncs(files []*ast.File) []*ast.FuncDecl {
 	var hot []*ast.FuncDecl
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if isHot, trust, _ := hotpathDirectives(fd.Doc); isHot && !trust && fd.Body != nil {
+				hot = append(hot, fd)
+			}
+		}
+	}
+	return hot
+}
+
+func runHotPathAlloc(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			isHot, trust, reason := hotpathDirectives(fd.Doc)
-			if trust && reason == "" {
+			if _, trust, reason := hotpathDirectives(fd.Doc); trust && reason == "" {
 				pass.Reportf(fd.Pos(), "//ips:hotpath-trust on %s needs a reason: //ips:hotpath-trust <reason>", fd.Name.Name)
-			}
-			// Trusted functions are hand-vetted: callable from the hot
-			// path, body not machine-checked.
-			if isHot && !trust && fd.Body != nil {
-				hot = append(hot, fd)
 			}
 		}
 	}
+	hot := hotFuncs(pass.Files)
 	if len(hot) == 0 {
 		return
 	}
@@ -169,12 +184,15 @@ func runHotPathAlloc(pass *Pass) {
 		})
 	}
 
-	escapes, err := compilerEscapes(pass)
-	if err != nil {
-		pass.Reportf(pass.Files[0].Package, "cannot run escape analysis: %v", err)
+	res := pass.escapes
+	if res == nil {
+		res = compileEscapes(pass.exports, pass.Pkg.Path(), pass.Fset, pass.Files)
+	}
+	if res.err != nil {
+		pass.Reportf(pass.Files[0].Package, "cannot run escape analysis: %v", res.err)
 		return
 	}
-	for _, e := range escapes {
+	for _, e := range res.escapes {
 		if inlined[e.pos] {
 			continue
 		}
@@ -226,23 +244,51 @@ type escape struct {
 // "file:line:col: moved to heap: <name>".
 var escapeLine = regexp.MustCompile(`(?m)^(.+):(\d+):(\d+): (.+ escapes to heap|moved to heap: .+)$`)
 
-// compilerEscapes compiles the package with -m and returns the heap
+// compiled is the outcome of one package's escape-analysis compile.
+type compiled struct {
+	escapes []escape
+	err     error
+}
+
+// precompile runs the escape-analysis compile of every package with a
+// checked hot function that has not had one yet, concurrently and at
+// most GOMAXPROCS at a time, so the per-package passes find the result
+// instead of compiling one package after another.
+func precompile(pkgs []*Package) {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for _, pkg := range pkgs {
+		if pkg.escapes != nil || len(hotFuncs(pkg.Files)) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(pkg *Package) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			pkg.escapes = compileEscapes(pkg.exports, pkg.Pkg.Path(), pkg.Fset, pkg.Files)
+		}(pkg)
+	}
+	wg.Wait()
+}
+
+// compileEscapes compiles the package with -m and collects the heap
 // escapes the compiler reports in its files.
-func compilerEscapes(pass *Pass) ([]escape, error) {
+func compileEscapes(exp *Exports, path string, fset *token.FileSet, pkgFiles []*ast.File) *compiled {
 	files := make(map[string]*token.File)
 	var args []string
-	for _, f := range pass.Files {
-		tf := pass.Fset.File(f.Pos())
+	for _, f := range pkgFiles {
+		tf := fset.File(f.Pos())
 		abs, err := filepath.Abs(tf.Name())
 		if err != nil {
-			return nil, err
+			return &compiled{err: err}
 		}
 		files[abs] = tf
 		args = append(args, abs)
 	}
-	out, err := pass.exports.compile(pass.Pkg.Path(), args)
+	out, err := exp.compile(path, args)
 	if err != nil {
-		return nil, err
+		return &compiled{err: err}
 	}
 	var escapes []escape
 	for _, m := range escapeLine.FindAllStringSubmatch(string(out), -1) {
@@ -254,7 +300,7 @@ func compilerEscapes(pass *Pass) ([]escape, error) {
 		}
 		escapes = append(escapes, escape{pos: tf.LineStart(line) + token.Pos(col-1), msg: m[4]})
 	}
-	return escapes, nil
+	return &compiled{escapes: escapes}
 }
 
 // compile runs `go tool compile -m` over files as package path and

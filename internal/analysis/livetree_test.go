@@ -12,17 +12,17 @@ var (
 	moduleErr  error
 )
 
-// liveModule loads and type-checks the repository's own packages once
-// per test binary.
+// liveModule type-checks the repository's own packages once per test
+// binary, from the export data the fixture tests share, and runs their
+// escape-analysis compiles up front for every test that analyzes them.
 func liveModule(t *testing.T) []*Package {
 	t.Helper()
+	exp := sharedExports(t)
 	moduleOnce.Do(func() {
-		root, err := FindModuleRoot(".")
-		if err != nil {
-			moduleErr = err
-			return
+		moduleVal, _, moduleErr = exp.Module()
+		if moduleErr == nil {
+			precompile(moduleVal)
 		}
-		moduleVal, _, moduleErr = LoadModule(root)
 	})
 	if moduleErr != nil {
 		t.Fatalf("loading module: %v", moduleErr)

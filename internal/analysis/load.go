@@ -28,6 +28,9 @@ type Package struct {
 	Info  *types.Info
 
 	exports *Exports
+	// escapes is the package's escape-analysis compile, run ahead of the
+	// passes by precompile; nil until then.
+	escapes *compiled
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.
@@ -152,10 +155,16 @@ func LoadModule(root string) ([]*Package, *token.FileSet, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return exp.Module()
+}
+
+// Module type-checks every non-test package of the main module e was
+// listed for and returns them sorted by import path.
+func (e *Exports) Module() ([]*Package, *token.FileSet, error) {
 	fset := token.NewFileSet()
 
 	var paths []string
-	for path, p := range exp.listed {
+	for path, p := range e.listed {
 		if p.Standard || p.Module == nil {
 			continue
 		}
@@ -165,7 +174,7 @@ func LoadModule(root string) ([]*Package, *token.FileSet, error) {
 
 	var out []*Package
 	for _, path := range paths {
-		lp := exp.listed[path]
+		lp := e.listed[path]
 		var files []*ast.File
 		for _, name := range lp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
@@ -174,7 +183,7 @@ func LoadModule(root string) ([]*Package, *token.FileSet, error) {
 			}
 			files = append(files, f)
 		}
-		pkg, err := exp.Check(path, fset, files)
+		pkg, err := e.Check(path, fset, files)
 		if err != nil {
 			return nil, nil, err
 		}

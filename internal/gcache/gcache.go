@@ -623,6 +623,14 @@ func (g *GCache) getOrLoadSlow(ctx context.Context, id model.ProfileID, createOn
 // falls through to the KV read — the blob was captured from a flushed
 // profile, so storage holds the same state.
 func (g *GCache) fill(ctx context.Context, id model.ProfileID) (*model.Profile, error) {
+	// The caller's table miss predates its join: another flight may have
+	// installed the profile since. Reading storage now could install a
+	// snapshot older than that copy's writes, should it be flushed and
+	// evicted before the install. As leader, a miss seen here holds: no
+	// other flight can install until this one finishes.
+	if p := g.table.Get(id); p != nil {
+		return p, nil
+	}
 	if e := g.warm.take(id); e != nil {
 		p, err := g.inflate(ctx, e)
 		if err == nil {

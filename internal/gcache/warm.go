@@ -19,12 +19,14 @@ import (
 //
 // The decoded tier is the model.Table: live, lockable, mutable objects.
 // The warm tier holds snap-compressed MarshalProfile blobs of profiles
-// eviction demoted — always CLEAN (flushed before demotion, so
-// flush-before-drop still holds and the journal's truncation watermark
-// keeps advancing), always immutable, and strictly exclusive with the
-// decoded tier: a profile is never in both at once. A warm hit
-// re-inflates in process for roughly the cost of a decode, an order of
-// magnitude cheaper than the KV round trip an evicted profile pays.
+// eviction demoted — the blob the profile was decoded from when it is
+// unchanged since, a fresh encoding otherwise — always CLEAN (flushed
+// before demotion, so flush-before-drop still holds and the journal's
+// truncation watermark keeps advancing), always immutable, and strictly
+// exclusive with the decoded tier: a profile is never in both at once.
+// A warm hit re-inflates in process for roughly the cost of a decode, an
+// order of magnitude cheaper than the KV round trip an evicted profile
+// pays.
 //
 // Tier exclusivity is enforced at every transition: installing into the
 // table (load, createEmpty, inflate) purges any warm shadow, demoting
@@ -221,11 +223,20 @@ func (w *warmTier) walk(fn func(e *warmEntry)) {
 // breaks when the warm copy is later evicted without another flush.
 // Insert-before-delete means a concurrent reader sees the profile in at
 // least one tier at every instant.
+//
+// A profile unchanged since it was decoded from a snap blob (a compressed
+// bulk load or a warm hit) is demoted with that blob; only a profile that
+// was written, loaded from a fine-grained or uncompressed value, or
+// created in memory is encoded here.
 func (g *GCache) demoteLocked(p *model.Profile) {
 	if g.warm != nil {
+		blob := p.Blob()
+		if blob == nil {
+			blob = snap.Encode(nil, model.MarshalProfile(p))
+		}
 		g.warm.put(&warmEntry{
 			id:        p.ID,
-			blob:      snap.Encode(nil, model.MarshalProfile(p)),
+			blob:      blob,
 			walLSN:    p.WalLSN,
 			mergedLSN: p.MergedLSN,
 			migLSN:    p.MigLSN,
@@ -264,6 +275,7 @@ func (g *GCache) inflate(ctx context.Context, e *warmEntry) (*model.Profile, err
 		return nil, err
 	}
 	p.ID = e.id
+	p.KeepBlob(e.blob)
 	// Same install discipline as load(): a writer may have created the
 	// profile concurrently; prefer the resident object so its writes are
 	// not lost.

@@ -524,3 +524,61 @@ func BenchmarkEvictionPerEntry(b *testing.B) {
 		})
 	}
 }
+
+// afterGetStore runs fn once, right after the next Get has read its
+// value: the window between a storage read and the install it feeds.
+type afterGetStore struct {
+	kv.Store
+	fn func()
+}
+
+func (s *afterGetStore) Get(key string) ([]byte, error) {
+	v, err := s.Store.Get(key)
+	if fn := s.fn; fn != nil {
+		s.fn = nil
+		fn()
+	}
+	return v, err
+}
+
+// TestTierFillServesCopyInstalledSinceMiss pins the single-flight
+// leader's table re-check. A leader whose table miss predates another
+// flight's install must serve that resident copy. Reading storage
+// instead raced the copy's flush and eviction: the stored bytes read
+// before the flush were installed over the acknowledged write, and the
+// next flush would have persisted the loss.
+func TestTierFillServesCopyInstalledSinceMiss(t *testing.T) {
+	store := &afterGetStore{Store: kv.NewMemory()}
+	tbl := model.NewTable("t", model.NewSchema("like", "share"), 1000)
+	g, err := New(tbl, persist.New(store, "t"), Options{MemLimit: 1, MemLowWater: 1, WarmLimit: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Add(1, 5000, 1, 1, 7, []int64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	g.Drop(1) // stored: count 1
+	// Another flight installs the profile and a write lands on it.
+	if err := g.Add(1, 5000, 1, 1, 7, []int64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	// The leader fills; should it read storage, the resident copy is
+	// flushed and evicted before the read's result is installed.
+	store.fn = g.EvictToWatermark
+	p, err := g.fill(context.Background(), 1)
+	store.fn = nil
+	if err != nil || p == nil {
+		t.Fatalf("fill: p=%v err=%v", p, err)
+	}
+	if got := countFeature(t, g, 1, 7); got != 2 {
+		t.Fatalf("count after fill = %d, want 2: the acknowledged write was lost", got)
+	}
+	g.EvictToWatermark()
+	if !g.Drop(1) {
+		t.Fatal("profile 1 not resident in any tier")
+	}
+	if got := countFeature(t, g, 1, 7); got != 2 {
+		t.Fatalf("count after reload = %d, want 2", got)
+	}
+	checkTierAccounting(t, g, tbl)
+}

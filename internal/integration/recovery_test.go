@@ -168,6 +168,9 @@ func (e *recoveryEnv) verify(o oracle, ids []model.ProfileID) {
 			continue
 		}
 		if len(got) != len(want) {
+			if len(want) > 20 {
+				e.t.Fatalf("profile %d: %d features, want %d", id, len(got), len(want))
+			}
 			e.t.Fatalf("profile %d: %d features, want %d (got %v want %v)", id, len(got), len(want), got, want)
 		}
 		for fid, wc := range want {
@@ -443,6 +446,81 @@ func TestRecoveryWriteIsolationUnmergedAdd(t *testing.T) {
 	// writes, a merge, another crash.
 	e2.add(o, 1, recEntry(2, 12, 3, 3))
 	e2.inst.MergeAll()
+	e2.crash()
+	e3 := e2.reopen()
+	e3.verify(o, []model.ProfileID{1})
+	if err := e3.inst.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRecoverySplitAfterBulkSave(t *testing.T) {
+	// A profile saved in bulk grows past the persister's SplitThreshold
+	// (256 KiB encoded) and its next save goes fine-grained. That save
+	// retires the journal records it covers, so the fine-grained value is
+	// the only copy of them: a bulk value left behind, which Load prefers,
+	// would serve the old state after a reload and lose the retired writes
+	// after a crash.
+	dir := t.TempDir()
+	clock := &simClock{now: recBase + 1000}
+	e := openRecovery(t, dir, clock)
+	o := make(oracle)
+	e.add(o, 1, recEntry(0, 1, 1, 0), recEntry(1, 2, 0, 1))
+	if ok, err := e.inst.EvictProfile("up", 1); err != nil || !ok {
+		t.Fatalf("evict: %v %v", ok, err)
+	}
+	// ~10 encoded bytes per feature: 32k distinct features is ~330 KB.
+	const batch = 1000
+	for b := 0; b < 32; b++ {
+		entries := make([]wire.AddEntry, batch)
+		for i := range entries {
+			entries[i] = recEntry(int64(i%500), model.FeatureID(100+b*batch+i), 1, 2)
+		}
+		e.add(o, 1, entries...)
+	}
+	if ok, err := e.inst.EvictProfile("up", 1); err != nil || !ok {
+		t.Fatalf("evict: %v %v", ok, err)
+	}
+	e.verify(o, []model.ProfileID{1}) // reloaded from the store, no crash
+	if err := e.jn.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := e.jn.Records(); err != nil || len(recs) != 0 {
+		t.Fatalf("journal keeps %d records (%v); the fine-grained save retired them all", len(recs), err)
+	}
+	e.crash()
+
+	e2 := e.reopen()
+	e2.verify(o, []model.ProfileID{1})
+	if err := e2.inst.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRecoveryLSNsContinueAfterCompactedJournal(t *testing.T) {
+	// Every record is flushed and a journal compaction drops them all.
+	// The reopened journal must continue the LSN sequence: the stored
+	// profile's WalLSN names the retired records, and a post-reopen write
+	// that reused one of their LSNs would be skipped on the next replay
+	// as already flushed.
+	dir := t.TempDir()
+	clock := &simClock{now: recBase + 1000}
+	e := openRecovery(t, dir, clock)
+	o := make(oracle)
+	for i := 0; i < 5; i++ {
+		e.add(o, 1, recEntry(int64(i), model.FeatureID(10+i), 1, 0))
+	}
+	if ok, err := e.inst.EvictProfile("up", 1); err != nil || !ok {
+		t.Fatalf("evict: %v %v", ok, err)
+	}
+	if err := e.jn.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	e.crash()
+
+	e2 := e.reopen()
+	e2.verify(o, []model.ProfileID{1})
+	e2.add(o, 1, recEntry(10, 20, 0, 3)) // journaled, never flushed
 	e2.crash()
 	e3 := e2.reopen()
 	e3.verify(o, []model.ProfileID{1})

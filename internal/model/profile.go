@@ -22,6 +22,13 @@ type Profile struct {
 	// memSize caches the MemSize sum so eviction accounting is O(1).
 	memSize int64
 
+	// blob is the snap-compressed MarshalProfile encoding the profile was
+	// decoded from (KeepBlob), kept so that eviction can demote an
+	// unchanged profile without encoding it again; blobAt is the version
+	// the blob encodes. Charged to memSize; nil once a mutator ran.
+	blob   []byte
+	blobAt version
+
 	// Dirty marks profiles with unflushed changes; maintained by callers
 	// holding mu (GCache's dirty list).
 	Dirty bool
@@ -51,6 +58,17 @@ type Profile struct {
 	// assert post-cutover reads observe a watermark >= every pre-cutover
 	// ack. Monotone under install; maintained by callers holding mu.
 	MigLSN uint64
+}
+
+// version is the part of a profile's state a mutation must move: the
+// Generation or one of the three watermarks. Every content change bumps
+// Generation, including those made outside this package.
+type version struct {
+	gen, wal, merged, mig uint64
+}
+
+func (p *Profile) version() version {
+	return version{p.Generation, p.WalLSN, p.MergedLSN, p.MigLSN}
 }
 
 // NewProfile creates an empty profile.
@@ -106,12 +124,39 @@ func (p *Profile) MemSize() int64 { return p.memSize }
 // RecomputeMemSize recalculates the cached footprint after bulk mutations
 // (compaction, shrink). Caller must hold Lock.
 func (p *Profile) RecomputeMemSize() int64 {
-	n := int64(profileBaseSize)
+	n := int64(profileBaseSize + len(p.blob))
 	for _, s := range p.slices {
 		n += s.MemSize()
 	}
 	p.memSize = n
 	return n
+}
+
+// KeepBlob records blob, the snap-compressed MarshalProfile encoding p
+// was just decoded from, so that Blob can hand it back while p is
+// unchanged. The blob is charged to MemSize until a mutator releases it.
+// blob must not be modified afterwards. Caller must hold Lock or own p
+// exclusively.
+func (p *Profile) KeepBlob(blob []byte) {
+	p.memSize += int64(len(blob) - len(p.blob))
+	p.blob, p.blobAt = blob, p.version()
+}
+
+// Blob returns the kept encoding when p is unchanged since KeepBlob (same
+// Generation and watermarks), else nil. The encoding is immutable and
+// safe to share. Caller must hold at least RLock.
+func (p *Profile) Blob() []byte {
+	if p.blobAt != p.version() {
+		return nil
+	}
+	return p.blob
+}
+
+// releaseBlob drops the kept encoding and its charge: a mutated profile
+// never hands it out again, so it need not hold its memory either.
+func (p *Profile) releaseBlob() {
+	p.memSize -= int64(len(p.blob))
+	p.blob = nil
 }
 
 // Latest returns the newest event timestamp across the profile, or 0 when
@@ -141,6 +186,7 @@ func (p *Profile) Add(schema *Schema, ts Millis, headWidth Millis, slot SlotID, 
 	if len(counts) != schema.NumActions() {
 		return ErrBadCounts
 	}
+	p.releaseBlob()
 	s := p.sliceFor(ts, headWidth)
 	before := s.MemSize()
 	s.Add(schema, ts, slot, typ, fid, counts)
@@ -229,6 +275,7 @@ func (p *Profile) insertAligned(ts Millis, headWidth Millis) *Slice {
 // ReplaceSlices swaps the slice list wholesale (compaction, truncation,
 // load-from-storage). Caller must hold Lock.
 func (p *Profile) ReplaceSlices(slices []*Slice) {
+	p.blob = nil
 	p.slices = slices
 	p.Generation++
 	p.RecomputeMemSize()

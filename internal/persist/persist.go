@@ -57,7 +57,10 @@ type Persister struct {
 	Mode Mode
 	// SplitThreshold: in Bulk mode, profiles whose encoded size exceeds
 	// this are stored fine-grained anyway (the §III-E remedy for very
-	// large values). 0 disables the automatic switch.
+	// large values). 0 disables the automatic switch. A fine-grained save
+	// deletes the profile's bulk value, which Load would otherwise prefer;
+	// a bulk save after the profile shrank leaves the fine-grained values
+	// in place, unread behind the bulk value.
 	SplitThreshold int
 	// Compress toggles snap compression of stored values.
 	Compress bool
@@ -151,6 +154,12 @@ func (ps *Persister) Load(id model.ProfileID) (*model.Profile, error) {
 			return nil, err
 		}
 		p.ID = id
+		if val[0] == 1 {
+			// A compressed bulk value past its tag byte is exactly the
+			// warm tier's blob: keep it so an unchanged profile is
+			// demoted without encoding it again.
+			p.KeepBlob(val[1:])
+		}
 		return p, nil
 	}
 	if !errors.Is(err, kv.ErrNotFound) {
@@ -348,6 +357,13 @@ func (ps *Persister) saveFine(p *model.Profile) (int, error) {
 	}
 	mv := encodeMeta(m)
 	if _, err := ps.store.XSet(ps.metaKey(p.ID), mv, expected); err != nil {
+		return total, err
+	}
+	// Load reads the bulk key first, so a bulk value left from before
+	// the profile grew past SplitThreshold would shadow this save. The
+	// journal retires the save's records only after Save returns, so a
+	// crash before this delete still replays them over the stale value.
+	if err := ps.store.Delete(ps.profileKey(p.ID)); err != nil {
 		return total, err
 	}
 	return total + len(mv), nil

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"ips/internal/kv"
 	"ips/internal/model"
+	"ips/internal/snap"
 )
 
 func buildProfile(t testing.TB, id model.ProfileID, writes int) (*model.Profile, *model.Schema) {
@@ -409,5 +411,102 @@ func BenchmarkLoad(b *testing.B) {
 		if _, err := ps.Load(1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSplitAfterGrowthLoadsGrownState pins the switch from bulk to
+// fine-grained: a profile saved in bulk, then grown past SplitThreshold
+// and saved again, must load in its grown state. Load reads the bulk key
+// first, so a bulk value the fine-grained save left behind would serve
+// the old state — after a crash the journal has already retired the
+// records the fine-grained save covered, and those writes are lost.
+func TestSplitAfterGrowthLoadsGrownState(t *testing.T) {
+	store := kv.NewMemory()
+	ps := New(store, "tbl")
+	ps.SplitThreshold = 2048
+	p, sch := buildProfile(t, 5, 20)
+	p.RLock()
+	if _, err := ps.Save(p); err != nil {
+		t.Fatal(err)
+	}
+	p.RUnlock()
+	if _, err := store.Get("tbl/p/5"); err != nil {
+		t.Fatalf("small profile should be stored in bulk: %v", err)
+	}
+
+	p.Lock()
+	for fid := model.FeatureID(0); fid < 200; fid++ {
+		if err := p.Add(sch, 2000, 60_000, 1, 1, fid, []int64{1, 1, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.WalLSN = 99
+	if n := len(model.MarshalProfile(p)); n <= ps.SplitThreshold {
+		t.Fatalf("grown profile encodes to %dB, want past the %dB threshold", n, ps.SplitThreshold)
+	}
+	p.Unlock()
+	p.RLock()
+	if _, err := ps.Save(p); err != nil {
+		t.Fatal(err)
+	}
+	p.RUnlock()
+	if _, err := store.Get("tbl/p/5"); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("fine-grained save left the bulk value in place (err %v)", err)
+	}
+
+	got, err := ps.Load(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Generation != p.Generation || got.WalLSN != 99 {
+		t.Fatalf("loaded generation %d wal %d, want %d and 99", got.Generation, got.WalLSN, p.Generation)
+	}
+	assertSameContent(t, p, got)
+}
+
+// TestLoadKeepsCompressedBlob pins what Load hands the cache: a
+// compressed bulk value keeps the blob it was decoded from — the exact
+// bytes a fresh encoding would produce, charged to MemSize — while
+// uncompressed and fine-grained values keep none.
+func TestLoadKeepsCompressedBlob(t *testing.T) {
+	p, _ := buildProfile(t, 8, 300)
+	want := snap.Encode(nil, model.MarshalProfile(p))
+	cases := []struct {
+		name     string
+		compress bool
+		mode     Mode
+		keep     bool
+	}{
+		{"compressed bulk", true, Bulk, true},
+		{"uncompressed bulk", false, Bulk, false},
+		{"fine-grained", true, FineGrained, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ps := New(kv.NewMemory(), "tbl")
+			ps.Compress, ps.Mode = c.compress, c.mode
+			p.RLock()
+			if _, err := ps.Save(p); err != nil {
+				t.Fatal(err)
+			}
+			p.RUnlock()
+			got, err := ps.Load(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob := got.Blob()
+			if !c.keep {
+				if blob != nil {
+					t.Fatalf("kept a %dB blob, want none", len(blob))
+				}
+				return
+			}
+			if !bytes.Equal(blob, want) {
+				t.Fatalf("kept blob (%dB) differs from a fresh encoding (%dB)", len(blob), len(want))
+			}
+			if got.MemSize() != p.MemSize()+int64(len(blob)) {
+				t.Fatalf("MemSize %d, want decoded %d + blob %d", got.MemSize(), p.MemSize(), len(blob))
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@
 // proven in kv.Disk:
 //
 //	u32 crc (of everything after this field)
-//	u8  op (1=add, 2=delete, 3=compact, 4=offsets)
+//	u8  op (1=add, 2=delete, 3=compact, 4=offsets, 5=seq)
 //	u64 lsn
 //	u32 payloadLen, payload bytes (codec-encoded record body)
 //
@@ -27,10 +27,11 @@
 // strictly against MergedLSN.
 //
 // Truncation: flush threads report durable (table, profile, lsn)
-// watermarks via NoteFlushed; once enough flushed bytes accumulate the
-// journal rewrites itself keeping only the unflushed suffix (plus the
-// latest consumer-offset checkpoint per pipeline), bounding its size to
-// the dirty set.
+// watermarks via NoteFlushed, which retires each profile's covered
+// records; once enough retired bytes accumulate the journal rewrites
+// itself keeping exactly the unretired records (plus the latest
+// consumer-offset checkpoint per pipeline), bounding its size to the
+// records of the dirty set.
 //
 // DESIGN.md ("Durability") derives the loss-window table per sync
 // configuration; OPERATIONS.md has the crash-recovery runbook; the
@@ -72,6 +73,11 @@ const (
 	OpCompact Op = 3
 	// OpOffsets checkpoints an ingestion pipeline's consumer offsets.
 	OpOffsets Op = 4
+	// OpSeq carries the LSN sequence's high-water mark into a rewritten
+	// journal, so a reopen never reissues the LSN of a record Compact
+	// dropped: profiles persist the LSNs they saw, and replay would skip
+	// a reissued LSN as already flushed.
+	OpSeq Op = 5
 )
 
 // Record is one journal entry. Mutation records (add/delete/compact)
@@ -153,13 +159,14 @@ type Journal struct {
 
 	nextLSN uint64
 	// records holds the retained mutation records in LSN order: the
-	// unflushed suffix plus flushed records not yet compacted away.
+	// unretired records plus retired ones not yet compacted away.
 	records []retained
 	// offsets holds the latest consumer-offset checkpoint per pipeline
 	// name; retained across rewrites.
 	offsets map[string]Record
-	// pending maps a profile key to its unflushed record LSNs+sizes in
-	// ascending order; the truncation watermark is the minimum head.
+	// pending maps a profile key to its unretired record LSNs+sizes in
+	// ascending order: Compact keeps exactly these records, and
+	// Watermark is one below the minimum head.
 	pending map[string][]pendingRec
 
 	flushedBytes int64 // droppable bytes accumulated since the last rewrite
@@ -250,6 +257,9 @@ func (j *Journal) replay() error {
 
 // admit registers a decoded record in the in-memory state.
 func (j *Journal) admit(rec Record) {
+	if rec.Op == OpSeq {
+		return // replay has already advanced nextLSN past it
+	}
 	if rec.Op == OpOffsets {
 		j.offsets[rec.Name] = rec
 		return
@@ -689,17 +699,24 @@ func (j *Journal) Watermark() uint64 {
 	return j.watermarkLocked()
 }
 
-// Compact rewrites the journal keeping only records above the flushed
-// watermark plus the latest offset checkpoint per pipeline. The rewrite
-// goes to a temp file and renames over the journal, so a crash during
-// compaction leaves either the old or the new journal intact.
+// Compact rewrites the journal keeping exactly the unretired records
+// plus the latest offset checkpoint per pipeline. Retention is by record,
+// not by watermark: one record left pending for a long time does not
+// keep every retired record logged after it. The rewrite goes to a temp
+// file and renames over the journal, so a crash during compaction leaves
+// either the old or the new journal intact.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	wm := j.watermarkLocked()
+	unretired := make(map[uint64]struct{})
+	for _, pend := range j.pending {
+		for _, pr := range pend {
+			unretired[pr.lsn] = struct{}{}
+		}
+	}
 	tmp := j.path + ".tmp"
 	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -729,8 +746,15 @@ func (j *Journal) Compact() error {
 		}
 		size += int64(len(rec.frame))
 	}
+	if j.nextLSN > 1 {
+		seq := buildFrame(OpSeq, j.nextLSN-1, nil)
+		if _, err := tw.Write(seq); err != nil {
+			return fail(err)
+		}
+		size += int64(len(seq))
+	}
 	for _, rec := range j.records {
-		if rec.lsn <= wm {
+		if _, ok := unretired[rec.lsn]; !ok {
 			continue
 		}
 		if _, err := tw.Write(rec.frame); err != nil {

@@ -176,8 +176,8 @@ func TestJournalWatermarkAndCompact(t *testing.T) {
 	if st.Size >= sizeBefore {
 		t.Fatalf("compaction did not shrink the journal: %d -> %d", sizeBefore, st.Size)
 	}
-	if st.Records != 2 { // lsns 5 and 6 retained
-		t.Fatalf("retained %d records, want 2", st.Records)
+	if st.Records != 1 { // lsn 5 retained; lsn 6 is retired though above the watermark
+		t.Fatalf("retained %d records, want 1", st.Records)
 	}
 	// Appends still work after the rewrite and survive reopen.
 	if _, err := j.AppendAdd(context.Background(), "up", 3, []wire.AddEntry{{Timestamp: 9, Counts: []int64{1}}}); err != nil {
@@ -187,11 +187,84 @@ func TestJournalWatermarkAndCompact(t *testing.T) {
 	j2 := openT(t, path, Options{})
 	defer j2.Close()
 	recs := recordsT(t, j2)
-	if len(recs) != 3 {
-		t.Fatalf("post-reopen records = %d, want 3", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("post-reopen records = %d, want 2", len(recs))
 	}
-	if recs[0].LSN != 5 || recs[1].LSN != 6 || recs[2].LSN != 7 {
-		t.Fatalf("post-reopen lsns = %d,%d,%d", recs[0].LSN, recs[1].LSN, recs[2].LSN)
+	if recs[0].LSN != 5 || recs[1].LSN != 7 {
+		t.Fatalf("post-reopen lsns = %d,%d", recs[0].LSN, recs[1].LSN)
+	}
+}
+
+// TestJournalCompactDropsRetiredAboveStrandedRecord pins retention by
+// record: one record that is never retired holds the watermark down, but
+// the retired records logged after it must still leave the journal, or
+// every rewrite copies everything since the stranded record.
+func TestJournalCompactDropsRetiredAboveStrandedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	j := openT(t, path, Options{CompactMinBytes: 1 << 40})
+	// lsn 1 on profile 1 is never retired; profile 2 logs lsns 2..21 and
+	// flushes them all.
+	if _, err := j.AppendAdd(context.Background(), "up", 1, []wire.AddEntry{{Timestamp: 1, Counts: []int64{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := j.AppendAdd(context.Background(), "up", 2, []wire.AddEntry{{Timestamp: int64(i + 2), Counts: []int64{1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.NoteFlushed("up", 2, 21, 0)
+	if wm := j.Watermark(); wm != 0 {
+		t.Fatalf("watermark = %d, want 0 (lsn 1 pending)", wm)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Records != 1 || st.Pending != 1 {
+		t.Fatalf("after compact: %d records, %d pending; want 1 and 1", st.Records, st.Pending)
+	}
+	j.Close()
+	j2 := openT(t, path, Options{})
+	defer j2.Close()
+	recs := recordsT(t, j2)
+	if len(recs) != 1 || recs[0].LSN != 1 || recs[0].Profile != 1 {
+		t.Fatalf("post-reopen records = %+v, want only lsn 1 of profile 1", recs)
+	}
+	if lsn, err := j2.AppendDelete("up", 3); err != nil || lsn != 22 {
+		t.Fatalf("next lsn after reopen = %d (%v), want 22", lsn, err)
+	}
+}
+
+// TestJournalReopenAfterCompactContinuesLSNs pins that a rewrite which
+// drops every record still carries the LSN sequence: profiles persisted
+// the retired LSNs as their watermarks, so a reopened journal that
+// restarted at 1 would hand out LSNs replay skips as already flushed.
+func TestJournalReopenAfterCompactContinuesLSNs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	j := openT(t, path, Options{CompactMinBytes: 1 << 40})
+	for i := 1; i <= 3; i++ {
+		if _, err := j.AppendAdd(context.Background(), "up", 1, []wire.AddEntry{{Timestamp: int64(i), Counts: []int64{1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.NoteFlushed("up", 1, 3, 0)
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Records != 0 {
+		t.Fatalf("retained %d records, want 0", st.Records)
+	}
+	j.Close()
+	j2 := openT(t, path, Options{})
+	defer j2.Close()
+	if recs := recordsT(t, j2); len(recs) != 0 {
+		t.Fatalf("post-reopen records = %d, want 0", len(recs))
+	}
+	if wm := j2.Watermark(); wm != 3 {
+		t.Fatalf("post-reopen watermark = %d, want 3", wm)
+	}
+	lsn, err := j2.AppendAdd(context.Background(), "up", 1, []wire.AddEntry{{Timestamp: 9, Counts: []int64{1}}})
+	if err != nil || lsn != 4 {
+		t.Fatalf("next lsn after reopen = %d (%v), want 4", lsn, err)
 	}
 }
 

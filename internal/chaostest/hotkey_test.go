@@ -77,7 +77,7 @@ func TestHotKeyStorm(t *testing.T) {
 	}
 
 	// The hot-key machinery must actually have engaged: the Zipf head
-	// promotes and serves replica reads. (Single-flight shares are
+	// promotes and serves sealed-form reads. (Single-flight shares are
 	// workload-dependent — misses must collide in-flight — so LoadWaits
 	// is reported above but not gated.)
 	if rep.HotPromotions == 0 {
@@ -88,7 +88,7 @@ func TestHotKeyStorm(t *testing.T) {
 	}
 
 	// Reconciliation: the same exact identities the uniform chaos test
-	// pins must survive the hot-key path (replica reads, coalesced loads,
+	// pins must survive the hot-key path (sealed-form reads, coalesced loads,
 	// v2 batch responses change none of the accounting).
 	if err := rep.CheckIdentities(); err != nil {
 		t.Fatal(err)

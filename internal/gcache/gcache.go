@@ -30,6 +30,7 @@ import (
 	"ips/internal/metrics"
 	"ips/internal/model"
 	"ips/internal/persist"
+	"ips/internal/query"
 	"ips/internal/trace"
 	"ips/internal/wire"
 )
@@ -62,19 +63,20 @@ type Options struct {
 	FlushInterval time.Duration
 	// SwapInterval is the memory-check cadence; default 100ms.
 	SwapInterval time.Duration
-	// HotSlots switches hot-profile read replicas (batch architecture
-	// v2): 0 disables promotion (the default), and any positive value
-	// enables one shared replica per hot profile. A profile whose decayed
-	// read count crosses HotPromoteAfter is promoted into an immutable
-	// clone that serves reads without the live profile's lock. Any
-	// mutation invalidates the replica before it is acknowledged.
+	// HotSlots switches hot-profile sealed read forms (batch
+	// architecture v2): 0 disables promotion (the default), and any
+	// positive value enables one shared form per hot profile. A profile
+	// whose decayed read count crosses HotPromoteAfter is sealed
+	// (query.Seal) into an immutable form that serves reads without the
+	// live profile's lock. Any mutation invalidates the form before it is
+	// acknowledged.
 	HotSlots int
 	// HotPromoteAfter is the decayed read count that promotes a profile
 	// into hot slots; default 64. Counts halve every ~16k reads, so the
 	// threshold tracks the current Zipf head, not all-time totals.
 	HotPromoteAfter int
 	// HotMaxEntries caps simultaneously promoted profiles (each costs
-	// one deep clone of a hot profile); default 128.
+	// one sealed form of a hot profile); default 128.
 	HotMaxEntries int
 }
 
@@ -153,7 +155,7 @@ type GCache struct {
 	// herd of misses issues one storage read (singleflight.go).
 	flights *flightGroup
 
-	// hot is the hot-key detector and promoted-replica table; nil when
+	// hot is the hot-key detector and sealed-form table; nil when
 	// HotSlots is 0 (hotslot.go).
 	hot *hotSet
 
@@ -170,7 +172,7 @@ type GCache struct {
 	// storage load instead of issuing their own (single-flight shares).
 	LoadWaits metrics.Counter
 	// HotHits / HotPromotions / HotInvalidations track the hot-slot
-	// layer: reads served from an immutable replica, profiles promoted
+	// layer: reads served from a sealed form, profiles promoted
 	// into slots, and promoted entries torn down by a mutation.
 	HotHits          metrics.Counter
 	HotPromotions    metrics.Counter
@@ -288,9 +290,10 @@ func (g *GCache) dirtyShardFor(id model.ProfileID) *dirtyShard {
 }
 
 // Usage returns the approximate decoded-tier resident bytes, including
-// the hot read replicas (each promoted profile pins one deep clone;
-// charging them here is what makes MemLimit an honest budget).
-func (g *GCache) Usage() int64 { return g.usage.Load() + g.hot.cloneBytes() }
+// the hot sealed forms (each promoted profile pins one, beside the live
+// profile it shadows; charging them here is what makes MemLimit an honest
+// budget).
+func (g *GCache) Usage() int64 { return g.usage.Load() + g.hot.sealedBytes() }
 
 // WarmUsage returns the warm tier's resident bytes (compressed blobs
 // plus bookkeeping), budgeted by WarmLimit independently of MemLimit.
@@ -375,7 +378,7 @@ func (g *GCache) markDirty(id model.ProfileID) {
 	sh.mu.Unlock()
 }
 
-// invalidateHot tears down id's promoted read replicas, if any.
+// invalidateHot tears down id's promoted sealed form, if any.
 func (g *GCache) invalidateHot(id model.ProfileID) {
 	if g.hot.invalidate(id) {
 		g.HotInvalidations.Inc()
@@ -523,37 +526,51 @@ func (g *GCache) GetCtx(ctx context.Context, id model.ProfileID) (p *model.Profi
 	return p, hit, err
 }
 
-// GetForRead is the query path's entry point: like GetCtx, except a
-// profile promoted into a hot read replica is served from that immutable
-// clone, bypassing the live profile's lock entirely (the query kernel
-// reads a hot replica without any lock). hot reports which path
-// served the read; a hot read is tagged with a hotslot.hit span on ctx's
-// trace. Reads served live feed the hot-key detector, so a profile that
-// crosses the promotion threshold is snapshotted into slots inline on
-// the read that tipped it.
+// GetReadForm is the query path's entry point: like GetCtx, except a
+// profile promoted into the hot set comes back as its sealed read form
+// (s set, p nil), which query.RunSealed reads without any lock. Any other
+// profile comes back live (p set, s nil; both nil when the profile exists
+// nowhere), for query.RunScratch to read under its lock. A sealed read is
+// tagged with a hotslot.hit span on ctx's trace. Live reads feed the
+// hot-key detector, so a profile that crosses the promotion threshold is
+// sealed inline on the read that tipped it.
 //
-// Snapshot freshness: every mutation invalidates the replicas before it
-// is acknowledged (see hotslot.go), so a read that starts after a
+// Snapshot freshness: every mutation invalidates the sealed form before
+// it is acknowledged (see hotslot.go), so a read that starts after a
 // write's ack always observes a state at least as new as that write —
 // the property the hot-slot staleness test pins.
 //
 //ips:hotpath
-func (g *GCache) GetForRead(ctx context.Context, id model.ProfileID) (p *model.Profile, hit, hot bool, err error) {
+func (g *GCache) GetReadForm(ctx context.Context, id model.ProfileID) (s *query.Sealed, p *model.Profile, hit bool, err error) {
 	if e := g.hot.lookup(id); e != nil {
 		g.HitRatio.Observe(true)
 		g.HotHits.Inc()
-		// Keep the live profile MRU: the replicas serve reads, but the
-		// entry they shadow must not be evicted out from under them.
+		// Keep the live profile MRU: the sealed form serves reads, but
+		// the entry it shadows must not be evicted out from under it.
 		g.touch(id, 0)
 		sp := trace.StartLeaf(ctx, trace.StageHotSlotHit)
 		sp.End()
-		return e.replica, true, true, nil
+		return e.sealed, nil, true, nil
 	}
 	p, hit, err = g.GetCtx(ctx, id)
 	if err == nil && p != nil && g.hot.note(id) {
 		//ipslint:ignore hotpathalloc promotion is a threshold-crossing event, not the steady state
 		g.maybePromote(id, p)
 	}
+	return nil, p, hit, err
+}
+
+// GetForRead is GetCtx with the read path's former signature: it always
+// returns the live profile, so hot is always false, and it neither uses
+// nor feeds the hot set.
+//
+// Deprecated: use GetReadForm. It is kept only because the benchmark
+// module (benchmark/trace.go) calls it and is versioned separately from
+// the program.
+//
+//ips:hotpath
+func (g *GCache) GetForRead(ctx context.Context, id model.ProfileID) (p *model.Profile, hit, hot bool, err error) {
+	p, hit, err = g.GetCtx(ctx, id)
 	return p, hit, false, err
 }
 
@@ -955,7 +972,7 @@ type Stats struct {
 	HotHits          int64
 	HotPromotions    int64
 	HotInvalidations int64
-	HotBytes         int64 // bytes pinned by hot-slot clones (inside Usage)
+	HotBytes         int64 // bytes pinned by hot-slot sealed forms (inside Usage)
 	// Tiered-cache counters (warm.go).
 	WarmUsage     int64
 	WarmResident  int64
@@ -981,7 +998,7 @@ func (g *GCache) Stats() Stats {
 		HotHits:          g.HotHits.Value(),
 		HotPromotions:    g.HotPromotions.Value(),
 		HotInvalidations: g.HotInvalidations.Value(),
-		HotBytes:         g.hot.cloneBytes(),
+		HotBytes:         g.hot.sealedBytes(),
 		WarmUsage:        g.WarmUsage(),
 		WarmResident:     int64(g.WarmResident()),
 		Demotions:        g.Demotions.Value(),

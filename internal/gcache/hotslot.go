@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"ips/internal/model"
+	"ips/internal/query"
 )
 
 // Hot-profile read slots (batch architecture v2, part b): the Zipf head
@@ -12,12 +13,12 @@ import (
 // a handful of profiles, where they serialize on each profile's RWMutex
 // (even read locks contend: every RLock bounces the same cache line).
 // A small detector over recent gets promotes profiles that cross a read
-// threshold into one immutable read replica — a deep clone taken under
-// one RLock — and subsequent reads are served from it without touching
-// the live profile's lock at all. The replica is never written, and the
-// query kernel reads it without a lock, so every reader shares the one
-// clone. Any mutation (add, merge, compaction, eviction, delete)
-// invalidates the replica before the mutation is acknowledged, so a read
+// threshold into their sealed read form (query.Seal, built under one
+// RLock), and subsequent reads run the sealed kernel on it without
+// touching the live profile's lock at all. The form is never written, so
+// every reader shares it, and its per-row bounds let a top-K read stop
+// early. Any mutation (add, merge, compaction, eviction, delete)
+// invalidates the entry before the mutation is acknowledged, so a read
 // that starts after a write's ack can never observe a snapshot older than
 // that write. The NVIDIA GPU inference parameter server (PAPERS.md) uses
 // the same replicate-the-head trick to dodge hot-embedding contention.
@@ -47,23 +48,15 @@ const (
 	hotDecayEvery = 1 << 14
 )
 
-// hotEntry is one promoted profile: its immutable clone plus the
-// watermarks it was snapshotted at.
+// hotEntry is one promoted profile: its sealed read form, which carries
+// the watermarks it was sealed at. The form's MemSize is charged to the
+// hot set while the entry is installed — a promoted form is real memory
+// and counts against MemLimit like any resident profile.
 type hotEntry struct {
 	// id is the promoted profile's key, checked by index lookups so a
-	// colliding slot can never serve another profile's replica.
-	id model.ProfileID
-	// lsn is the profile's WalLSN at snapshot time; the staleness
-	// property test asserts reads never observe an lsn below the last
-	// acknowledged write's.
-	lsn uint64
-	// gen is the profile's Generation at snapshot time.
-	gen uint64
-	// bytes is the clone's footprint, charged to the hot set while the
-	// entry is installed — a promoted replica is real memory and counts
-	// against MemLimit like any resident profile.
-	bytes   int64
-	replica *model.Profile
+	// colliding slot can never serve another profile's form.
+	id     model.ProfileID
+	sealed *query.Sealed
 }
 
 // hotSet is the per-cache hot-key detector plus the promoted-entry table.
@@ -75,7 +68,7 @@ type hotSet struct {
 	entries   sync.Map // model.ProfileID -> *hotEntry
 	index     [hotIndexSlots]atomic.Pointer[hotEntry]
 	size      atomic.Int64
-	bytes     atomic.Int64 // summed clone footprint of installed entries
+	bytes     atomic.Int64 // summed sealed-form footprint of installed entries
 	promoting sync.Map     // model.ProfileID -> struct{}: promotion in flight
 
 	epochs  [hotEpochSlots]atomic.Uint64
@@ -161,7 +154,7 @@ func (h *hotSet) note(id model.ProfileID) bool {
 // never be served after it. The read counter is reset so a write-hot key
 // must earn promoteAfter fresh reads between writes — keys written as
 // often as they are read naturally stay unpromoted instead of thrashing
-// a clone per write. Reports whether an entry was removed.
+// a seal per write. Reports whether an entry was removed.
 func (h *hotSet) invalidate(id model.ProfileID) bool {
 	if h == nil {
 		return false
@@ -171,22 +164,22 @@ func (h *hotSet) invalidate(id model.ProfileID) bool {
 	h.clearIndex(id)
 	if v, ok := h.entries.LoadAndDelete(id); ok {
 		h.size.Add(-1)
-		h.bytes.Add(-v.(*hotEntry).bytes)
+		h.bytes.Add(-v.(*hotEntry).sealed.MemSize())
 		return true
 	}
 	return false
 }
 
-// cloneBytes returns the memory currently pinned by promoted read
-// replicas, charged into the cache's Usage.
-func (h *hotSet) cloneBytes() int64 {
+// sealedBytes returns the memory currently pinned by promoted sealed
+// forms, charged into the cache's Usage.
+func (h *hotSet) sealedBytes() int64 {
 	if h == nil {
 		return 0
 	}
 	return h.bytes.Load()
 }
 
-// maybePromote snapshots p into one immutable read replica, unless id is
+// maybePromote seals p into its immutable read form, unless id is
 // already promoted, another goroutine is promoting it, or the entry cap
 // is reached. The epoch is read BEFORE the snapshot and re-checked AFTER
 // the entry is installed: a writer that mutates p in between bumps the
@@ -211,22 +204,20 @@ func (g *GCache) maybePromote(id model.ProfileID, p *model.Profile) bool {
 		return false
 	}
 	e := h.epoch(id).Load()
-	entry := &hotEntry{id: id}
 	p.RLock()
-	entry.lsn, entry.gen = p.WalLSN, p.Generation
-	entry.replica = p.Clone()
+	sealed := query.Seal(p, g.table.Schema)
 	p.RUnlock()
-	entry.bytes = entry.replica.MemSize()
+	entry := &hotEntry{id: id, sealed: sealed}
 	h.entries.Store(id, entry)
 	h.indexSlot(id).Store(entry)
 	h.size.Add(1)
-	h.bytes.Add(entry.bytes)
+	h.bytes.Add(sealed.MemSize())
 	if h.epoch(id).Load() != e {
-		// A write landed while we cloned; our snapshot may predate it.
+		// A write landed while we sealed; our snapshot may predate it.
 		h.clearIndex(id)
 		if v, ok := h.entries.LoadAndDelete(id); ok {
 			h.size.Add(-1)
-			h.bytes.Add(-v.(*hotEntry).bytes)
+			h.bytes.Add(-v.(*hotEntry).sealed.MemSize())
 		}
 		return false
 	}

@@ -208,9 +208,9 @@ func TestExportRelease(t *testing.T) {
 	if err := g.Add(6, 5000, 1, 1, 42, []int64{1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	// Promote into hot slots so release has replicas to invalidate.
+	// Promote into hot slots so release has a sealed form to invalidate.
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := g.GetForRead(ctx, 6); err != nil {
+		if _, _, _, err := g.GetReadForm(ctx, 6); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -309,7 +309,7 @@ func (g *GCache) evictWarmToWatermark() {
 }
 
 // Discard retires every cache trace of id without flushing: LRU entry
-// (at its recorded byte footprint), warm blob, hot replicas. The caller
+// (at its recorded byte footprint), warm blob, hot sealed form. The caller
 // has already detached the profile from the table under the locks that
 // order the delete against concurrent writes (DeleteProfile); Discard
 // reconciles the accounting the detach left behind.

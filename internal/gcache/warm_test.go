@@ -58,20 +58,20 @@ func checkTierAccounting(t *testing.T, g *GCache, tbl *model.Table) {
 	if got := g.warm.usage(); got != warm {
 		t.Fatalf("warm usage %d != walked warm bytes %d", got, warm)
 	}
-	// Hot-clone counter vs. a walk of the promoted entries.
+	// Hot sealed-form counter vs. a walk of the promoted entries.
 	if g.hot != nil {
-		var clones int64
+		var sealed int64
 		g.hot.entries.Range(func(_, v any) bool {
-			clones += v.(*hotEntry).bytes
+			sealed += v.(*hotEntry).sealed.MemSize()
 			return true
 		})
-		if got := g.hot.cloneBytes(); got != clones {
-			t.Fatalf("hot bytes %d != walked clone bytes %d", got, clones)
+		if got := g.hot.sealedBytes(); got != sealed {
+			t.Fatalf("hot bytes %d != walked sealed bytes %d", got, sealed)
 		}
 	}
 	// And the public number is exactly their sum.
-	if got := g.Usage(); got != recorded+g.hot.cloneBytes() {
-		t.Fatalf("Usage() %d != lru %d + hot %d", got, recorded, g.hot.cloneBytes())
+	if got := g.Usage(); got != recorded+g.hot.sealedBytes() {
+		t.Fatalf("Usage() %d != lru %d + hot %d", got, recorded, g.hot.sealedBytes())
 	}
 }
 
@@ -386,7 +386,7 @@ func TestEvictionScanCostRegression(t *testing.T) {
 // TestTierAccountingUnderChurn drives writes, reads, hot promotions,
 // evictions, drops, and size changes through a seeded storm, then
 // cross-checks every tier's byte counter against a walk (satellite 2:
-// hot-slot clones are charged to Usage, recorded LRU bytes stay exact).
+// hot-slot sealed forms are charged to Usage, recorded LRU bytes stay exact).
 func TestTierAccountingUnderChurn(t *testing.T) {
 	g, tbl, _ := newCache(t, Options{
 		MemLimit:        4096,
@@ -406,7 +406,7 @@ func TestTierAccountingUnderChurn(t *testing.T) {
 		case 1:
 			g.Drop(id)
 		case 2, 3, 4:
-			if _, _, _, err := g.GetForRead(context.Background(), id); err != nil {
+			if _, _, _, err := g.GetReadForm(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -416,9 +416,9 @@ func TestTierAccountingUnderChurn(t *testing.T) {
 		}
 	}
 	// A write-free read burst guarantees at least one hot promotion, so
-	// the cross-check below covers nonzero clone bytes.
+	// the cross-check below covers nonzero sealed bytes.
 	for i := 0; i < 8; i++ {
-		if _, _, _, err := g.GetForRead(context.Background(), 1); err != nil {
+		if _, _, _, err := g.GetReadForm(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,9 +432,9 @@ func TestTierAccountingUnderChurn(t *testing.T) {
 	}
 }
 
-// TestHotCloneBytesChargedToUsage pins that promoted read replicas count
-// against the memory budget: the clone of a promoted profile appears in
-// Usage() and disappears on invalidation.
+// TestHotCloneBytesChargedToUsage pins that promoted sealed forms count
+// against the memory budget: the sealed form of a promoted profile
+// appears in Usage() and disappears on invalidation.
 func TestHotCloneBytesChargedToUsage(t *testing.T) {
 	g, tbl, _ := newCache(t, Options{HotSlots: 4, HotPromoteAfter: 2, HotMaxEntries: 8})
 	if err := g.Add(1, 5000, 1, 1, 7, []int64{5, 0}); err != nil {
@@ -442,7 +442,7 @@ func TestHotCloneBytesChargedToUsage(t *testing.T) {
 	}
 	base := g.Usage()
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := g.GetForRead(context.Background(), 1); err != nil {
+		if _, _, _, err := g.GetReadForm(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,15 +451,15 @@ func TestHotCloneBytesChargedToUsage(t *testing.T) {
 	}
 	grown := g.Usage()
 	if grown <= base {
-		t.Fatalf("usage %d must grow past %d once the clone is pinned", grown, base)
+		t.Fatalf("usage %d must grow past %d once the sealed form is pinned", grown, base)
 	}
 	checkTierAccounting(t, g, tbl)
-	// Any mutation invalidates; the clone bytes must come back off.
+	// Any mutation invalidates; the sealed bytes must come back off.
 	if err := g.Add(1, 6000, 1, 1, 7, []int64{1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if g.hot.cloneBytes() != 0 {
-		t.Fatalf("hot bytes = %d after invalidation, want 0", g.hot.cloneBytes())
+	if g.hot.sealedBytes() != 0 {
+		t.Fatalf("hot bytes = %d after invalidation, want 0", g.hot.sealedBytes())
 	}
 	checkTierAccounting(t, g, tbl)
 }
@@ -488,7 +488,7 @@ func TestConcurrentChurnRace(t *testing.T) {
 				case 1:
 					g.Drop(id)
 				case 2, 3:
-					_, _, _, _ = g.GetForRead(context.Background(), id)
+					_, _, _, _ = g.GetReadForm(context.Background(), id)
 				default:
 					_ = g.Add(id, model.Millis(1000+i), 1, 1, 7, []int64{1, 0})
 				}

@@ -31,7 +31,26 @@ func (is *InstanceSet) GetOrCreate(typ TypeID) *FeatureStats {
 //ips:hotpath
 func (is *InstanceSet) Len() int { return len(is.types) }
 
-// Each calls fn for every (type, stats) pair.
+// AppendTypes appends the set's types to dst in ascending order and
+// returns the extended slice. Readers that merge a slice's types walk
+// them in this order, so a reducer whose answer depends on merge order
+// (LAST) answers the same on every read.
+//
+//ips:hotpath
+func (is *InstanceSet) AppendTypes(dst []TypeID) []TypeID {
+	n := len(dst)
+	for t := range is.types {
+		dst = append(dst, t)
+	}
+	for i := n + 1; i < len(dst); i++ {
+		for j := i; j > n && dst[j] < dst[j-1]; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
+}
+
+// Each calls fn for every (type, stats) pair, in map order.
 func (is *InstanceSet) Each(fn func(TypeID, *FeatureStats)) {
 	for t, fs := range is.types {
 		fn(t, fs)

@@ -64,12 +64,14 @@ func reference(p *model.Profile, sch *model.Schema, req Request, now model.Milli
 		}
 		scanned++
 		set := s.Slot(req.Slot)
-		w := decayWeight(req, s, from, to)
+		w := decayWeight(req, s.Start, s.End, from, to)
 		if set == nil || w == 0 {
 			continue
 		}
 		if req.AllTypes {
-			set.Each(func(_ model.TypeID, fs *model.FeatureStats) { add(fs, w, s.End) })
+			for _, typ := range set.AppendTypes(nil) {
+				add(set.Get(typ), w, s.End)
+			}
 		} else if fs := set.Get(req.Type); fs != nil {
 			add(fs, w, s.End)
 		}
@@ -174,30 +176,19 @@ func randomSchema(rng *rand.Rand) *model.Schema {
 }
 
 // randomProfile fills a profile with up to 300 entries over 2 slots and 3
-// types. Under a LAST reducer the merge order decides the answer, and the
-// types inside one slice merge in map order, so each type then gets its
-// own fids.
+// types; the same fid often lands in several types of one slice.
 func randomProfile(rng *rand.Rand, sch *model.Schema) *model.Profile {
-	disjoint := false
-	for _, r := range sch.Reducers {
-		disjoint = disjoint || r == model.ReduceLast
-	}
 	head := []model.Millis{1000, 60_000}[rng.Intn(2)]
 	fids := 1 + rng.Intn(60)
 	p := model.NewProfile(1)
 	p.Lock()
 	defer p.Unlock()
 	for i, n := 0, rng.Intn(300); i < n; i++ {
-		typ := model.TypeID(rng.Intn(3))
-		fid := model.FeatureID(1 + rng.Intn(fids))
-		if disjoint {
-			fid += model.FeatureID(typ) * 1000
-		}
 		c := make([]int64, sch.NumActions())
 		for j := range c {
 			c[j] = rng.Int63n(12) - 2
 		}
-		if err := p.Add(sch, model.Millis(1+rng.Intn(2_000_000)), head, model.SlotID(rng.Intn(2)), typ, fid, c); err != nil {
+		if err := p.Add(sch, model.Millis(1+rng.Intn(2_000_000)), head, model.SlotID(rng.Intn(2)), model.TypeID(rng.Intn(3)), model.FeatureID(1+rng.Intn(fids)), c); err != nil {
 			panic(err)
 		}
 	}
@@ -251,16 +242,29 @@ func randomRequest(rng *rand.Rand, sch *model.Schema) Request {
 	return req
 }
 
+// forms runs req against p through both kernels, each on a scratch of
+// its own reused across calls: Run on the live profile (no writer can
+// reach p, so no lock is taken) and RunSealed on its sealed form.
+type forms struct{ live, sealed Scratch }
+
+func (f *forms) runs(p *model.Profile, s *Sealed, sch *model.Schema, req Request, now model.Millis) map[string]func() (Result, error) {
+	return map[string]func() (Result, error){
+		"Run":       func() (Result, error) { return Run(p, sch, req, now, &f.live) },
+		"RunSealed": func() (Result, error) { return RunSealed(s, req, now, &f.sealed) },
+	}
+}
+
 // TestKernelMatchesReferenceQuick is the kernel's differential test:
-// over random schemas, profiles and requests, RunScratch and
-// RunSealedScratch — each on one scratch reused across every case —
-// return exactly the naive reference's answer for K in {0, 1, n/2, >n}.
+// over random schemas, profiles and requests, Run and RunSealed(Seal(p))
+// — each on one scratch reused across every case — return exactly the
+// naive reference's answer for K in {0, 1, n/2, >n}.
 func TestKernelMatchesReferenceQuick(t *testing.T) {
-	var locked, sealed Scratch
+	var fs forms
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sch := randomSchema(rng)
 		p := randomProfile(rng, sch)
+		sealed := Seal(p, sch)
 		now := model.Millis(1_000_000 + rng.Intn(1_500_000))
 		for q := 0; q < 4; q++ {
 			req := randomRequest(rng, sch)
@@ -269,21 +273,18 @@ func TestKernelMatchesReferenceQuick(t *testing.T) {
 			for _, k := range []int{0, 1, n / 2, n + 3} {
 				req.K = k
 				want, scanned, wantErr := reference(p, sch, req, now)
-				for _, run := range []func() (Result, error){
-					func() (Result, error) { return RunScratch(p, sch, req, now, &locked) },
-					func() (Result, error) { return RunSealedScratch(p, sch, req, now, &sealed) },
-				} {
+				for name, run := range fs.runs(p, sealed, sch, req, now) {
 					got, gotErr := run()
 					if (gotErr != nil) != (wantErr != nil) {
-						t.Logf("seed %d req %+v: err %v, reference %v", seed, req, gotErr, wantErr)
+						t.Logf("%s seed %d req %+v: err %v, reference %v", name, seed, req, gotErr, wantErr)
 						return false
 					}
 					if wantErr != nil {
 						continue
 					}
 					if got.SlicesScanned != scanned || !sameFeatures(got.Features, want) {
-						t.Logf("seed %d req %+v k=%d:\n got  %+v (scanned %d)\n want %+v (scanned %d)",
-							seed, req, k, got.Features, got.SlicesScanned, want, scanned)
+						t.Logf("%s seed %d req %+v k=%d:\n got  %+v (scanned %d)\n want %+v (scanned %d)",
+							name, seed, req, k, got.Features, got.SlicesScanned, want, scanned)
 						return false
 					}
 				}
@@ -293,6 +294,160 @@ func TestKernelMatchesReferenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllTypesReduceLastTypeOrder: under a LAST reducer the first nonzero
+// value merged wins, and the types of one slice merge in ascending
+// TypeID order, so a fid held by two types of one slice answers with the
+// lower type's value on every read — whatever order the slice's type map
+// iterates in.
+func TestAllTypesReduceLastTypeOrder(t *testing.T) {
+	sch := model.NewSchema("like").WithReducer("like", model.ReduceLast)
+	p := model.NewProfile(1)
+	p.Lock()
+	for typ, c := range []int64{3, 7, 5, 9} {
+		if err := p.Add(sch, 5000, 1000, 0, model.TypeID(typ), 42, []int64{c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Unlock()
+	req := Request{Slot: 0, AllTypes: true, Range: CurrentRange(10_000), SortBy: ByAction, K: 5}
+	var fs forms
+	sealed := Seal(p, sch)
+	for i := 0; i < 50; i++ {
+		for name, run := range fs.runs(p, sealed, sch, req, 6000) {
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Features) != 1 || res.Features[0].Counts[0] != 3 {
+				t.Fatalf("%s read %d: %+v, want fid 42 with type 0's count 3", name, i, res.Features)
+			}
+		}
+		if want, _, _ := reference(p, sch, req, 6000); len(want) != 1 || want[0].Counts[0] != 3 {
+			t.Fatalf("reference read %d: %+v, want type 0's count 3", i, want)
+		}
+	}
+}
+
+// TestSealedTopKTiesQuick: top-K at its tie boundaries. Many rows share
+// one U and one score — small counts, few slices, every decay — and K
+// runs over every value up to the row count, so the early stop meets a
+// heap root whose key equals the next row's bound with fids on both
+// sides of it. Every answer must be the reference's.
+func TestSealedTopKTiesQuick(t *testing.T) {
+	var fs forms
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sch := model.NewSchema("like", "share")
+		p := model.NewProfile(1)
+		p.Lock()
+		for i, n := 0, 20+rng.Intn(40); i < n; i++ {
+			c := []int64{int64(rng.Intn(3)), int64(rng.Intn(2))}
+			ts := model.Millis(1 + 1000*rng.Intn(6))
+			if err := p.Add(sch, ts, 1000, 0, model.TypeID(rng.Intn(2)), model.FeatureID(1+rng.Intn(30)), c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Unlock()
+		sealed := Seal(p, sch)
+		req := Request{
+			Slot: 0, AllTypes: rng.Intn(3) > 0, Type: model.TypeID(rng.Intn(2)),
+			Range:  CurrentRange(6000),
+			SortBy: []SortBy{ByAction, ByTotal}[rng.Intn(2)], Action: sch.Actions[rng.Intn(2)],
+			Decay: DecayFunc(rng.Intn(4)), DecayFactor: []float64{0.3, 0.5, 0.9}[rng.Intn(3)],
+		}
+		full, _, _ := reference(p, sch, req, 6000)
+		for k := 1; k <= len(full)+1; k++ {
+			req.K = k
+			want, _, _ := reference(p, sch, req, 6000)
+			for name, run := range fs.runs(p, sealed, sch, req, 6000) {
+				got, err := run()
+				if err != nil || !sameFeatures(got.Features, want) {
+					t.Logf("%s seed %d req %+v k=%d: err %v\n got  %+v\n want %+v", name, seed, req, k, err, got.Features, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealedHostileCounts: counts the bound cannot cover. A slot holding
+// a count of magnitude 2^53 or more (not float-exact), or a row whose
+// absolute counts sum past MaxInt64 (U and the score wrap), must walk
+// every row: in both profiles below a bounded walk would stop on fid 2
+// before it reached fid 1, whose wrapped U sorts last but whose score is
+// the largest. Negative counts stay bounded and exact.
+func TestSealedHostileCounts(t *testing.T) {
+	sch := model.NewSchema("like")
+	build := func(fid1 []int64) *model.Profile {
+		p := model.NewProfile(1)
+		p.Lock()
+		defer p.Unlock()
+		for typ, c := range fid1 {
+			if err := p.Add(sch, 5000, 1000, 0, model.TypeID(typ), 1, []int64{c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Add(sch, 5000, 1000, 0, 0, 2, []int64{1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Add(sch, 5000, 1000, 0, 0, 3, []int64{-4}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const exact = 1<<53 - 1
+	var wraps []int64
+	for i := 0; i < 1100; i++ {
+		wraps = append(wraps, exact)
+	}
+	for i := 0; i < 200; i++ {
+		wraps = append(wraps, -exact)
+	}
+	for _, tc := range []struct {
+		name    string
+		fid1    []int64
+		bounded bool
+	}{
+		{"negative", []int64{-3, 6, -1}, true},
+		{"not float-exact", []int64{math.MaxInt64, math.MaxInt64, -math.MaxInt64}, false},
+		{"2^53", []int64{1 << 53}, false},
+		{"row sum overflows", wraps, false},
+	} {
+		p := build(tc.fid1)
+		sealed := Seal(p, sch)
+		if got := sealed.slots[0].order != nil; got != tc.bounded {
+			t.Fatalf("%s: bounded = %v, want %v", tc.name, got, tc.bounded)
+		}
+		var fs forms
+		for _, k := range []int{1, 2, 3} {
+			req := Request{Slot: 0, AllTypes: true, Range: CurrentRange(10_000), SortBy: ByAction, K: k}
+			want, _, _ := reference(p, sch, req, 6000)
+			for name, run := range fs.runs(p, sealed, sch, req, 6000) {
+				got, err := run()
+				if err != nil || !sameFeatures(got.Features, want) {
+					t.Fatalf("%s %s k=%d: err %v\n got  %+v\n want %+v", tc.name, name, k, err, got.Features, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSealBytesUnderClone: the sealed form of the scan_read profile
+// charges no more than the deep clone it replaced.
+func TestSealBytesUnderClone(t *testing.T) {
+	p, sch, _ := scanProfile(10_000)
+	p.RLock()
+	clone := p.Clone().MemSize()
+	p.RUnlock()
+	if sealed := Seal(p, sch).MemSize(); sealed > clone {
+		t.Fatalf("sealed form charges %d bytes, the clone %d", sealed, clone)
 	}
 }
 
@@ -355,10 +510,11 @@ var scanRequest = Request{
 	SortBy: ByAction, Action: "like", K: 50, Decay: DecayExp, DecayFactor: 0.98,
 }
 
-// TestKernelAllocFree pins warmed RunScratch and RunSealedScratch at zero
+// TestKernelAllocFree pins warmed RunScratch, Run and RunSealed at zero
 // allocations on the scan shape and on the point shape.
 func TestKernelAllocFree(t *testing.T) {
 	scan, sch, now := scanProfile(2000)
+	sealed := Seal(scan, sch)
 	point := Request{Slot: 0, Type: 1, Range: CurrentRange(7 * 24 * 3600 * 1000), SortBy: ByAction, Action: "share", K: 20,
 		Filter: &Filter{MinCount: 1}}
 	for _, tc := range []struct {
@@ -371,8 +527,12 @@ func TestKernelAllocFree(t *testing.T) {
 				_, err := RunScratch(scan, sch, tc.req, now, &sc)
 				return err
 			},
-			"RunSealedScratch": func() error {
-				_, err := RunSealedScratch(scan, sch, tc.req, now, &sc)
+			"Run": func() error {
+				_, err := Run(scan, sch, tc.req, now, &sc)
+				return err
+			},
+			"RunSealed": func() error {
+				_, err := RunSealed(sealed, tc.req, now, &sc)
 				return err
 			},
 		} {
@@ -389,19 +549,44 @@ func TestKernelAllocFree(t *testing.T) {
 }
 
 // BenchmarkScanKernel is the scan_read kernel alone: 10,000 distinct
-// features in 66 slices, all types, exp decay, K=50, on a warmed scratch.
+// features in 66 slices, all types, exp decay, K=50, on a warmed scratch,
+// against the live profile and against its sealed form.
 func BenchmarkScanKernel(b *testing.B) {
 	p, sch, now := scanProfile(10_000)
-	var sc Scratch
-	if _, err := RunSealedScratch(p, sch, scanRequest, now, &sc); err != nil {
-		b.Fatal(err)
+	sealed := Seal(p, sch)
+	for _, bc := range []struct {
+		name string
+		run  func(*Scratch) error
+	}{
+		{"live", func(sc *Scratch) error { _, err := Run(p, sch, scanRequest, now, sc); return err }},
+		{"sealed", func(sc *Scratch) error { _, err := RunSealed(sealed, scanRequest, now, sc); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sc Scratch
+			if err := bc.run(&sc); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.run(&sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// sealSink keeps BenchmarkSeal's result alive.
+var sealSink *Sealed
+
+// BenchmarkSeal is the price of one promotion: sealing the scan_read
+// profile.
+func BenchmarkSeal(b *testing.B) {
+	p, sch, _ := scanProfile(10_000)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSealedScratch(p, sch, scanRequest, now, &sc); err != nil {
-			b.Fatal(err)
-		}
+		sealSink = Seal(p, sch)
 	}
 }
 

@@ -3,8 +3,10 @@
 // feature counts, applying optional time-decay, filtering, and final
 // sorting / top-K selection.
 //
-// Queries operate on a snapshot of a profile's slice list taken under the
-// profile's read lock, so computation proceeds without blocking writers.
+// A read runs against one of two forms. Run reads a live profile under
+// its read lock. RunSealed reads a Sealed form: an immutable, row-major
+// copy of a profile built once by Seal, read without a lock, whose per-row
+// bounds let top-K stop before it has seen every feature.
 package query
 
 import (
@@ -205,16 +207,17 @@ var errUDAFRequired = errors.New("query: ByUDAF requires a UDAF")
 const maxPresize = 1 << 14
 
 // Scratch is the query kernel's reusable working storage: an
-// open-addressing fid table over flat per-row columns, and the kept-row
-// indices the filter, top-K and sort work on. A warmed Scratch runs the
-// whole read path without heap allocation.
+// open-addressing fid table over flat per-row columns, the part weights
+// of a sealed read, and the top-K heap of row indices. A warmed Scratch
+// runs the whole read path without heap allocation.
 //
 // A Result produced through a Scratch aliases its storage: it is valid
 // only until the next run with the same Scratch. Callers that retain
 // results must copy them out first. A Scratch is not safe for concurrent
 // use.
 type Scratch struct {
-	parts []part // the stats to merge: step 1's output
+	parts []part         // the stats to merge: step 1's output
+	types []model.TypeID // one slice's types, ascending
 
 	// table maps a fid to its row: each slot holds row+1, 0 when empty.
 	// Its length is a power of two, at least twice the row count; a fid
@@ -223,8 +226,8 @@ type Scratch struct {
 	shift uint
 
 	// Row r aggregates fid fids[r]: counts cnt[r*width:(r+1)*width], the
-	// newest slice end last[r], the UDAF score score[r] (UDAF queries
-	// only) and, once it passes the filters, the sort key key[r].
+	// newest slice end last[r], the sort key key[r] and, in a run whose
+	// request carries a UDAF, the score score[r].
 	fids  []model.FeatureID
 	cnt   []int64
 	last  []model.Millis
@@ -232,7 +235,11 @@ type Scratch struct {
 	key   []int64
 	width int
 
-	rows []int32
+	// pw is a sealed read's weight per part of the read slot; 0 leaves
+	// the part out.
+	pw []float64
+
+	rows []int32 // the top-K heap
 	out  []Feature
 }
 
@@ -256,72 +263,93 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 //ips:hotpath
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// RunScratch executes the request against the profile at the given query
-// time, holding the profile's read lock for the duration: the head slice
-// is mutable, so reading its feature maps without the lock would race
-// with writers. Keeping writers out of large profiles during queries is
+// RunScratch is Run under the profile's read lock: the head slice is
+// mutable, so reading its feature maps without the lock would race with
+// writers. Keeping writers out of large profiles during queries is
 // exactly the contention the paper's read-write isolation (§III-F)
 // relieves — with isolation on, online writes land in the small write
-// table instead of these locked main-table profiles. The Result aliases
-// sc's storage and is valid until sc's next run.
+// table instead of these locked main-table profiles.
 //
 //ips:hotpath
 func RunScratch(p *model.Profile, schema *model.Schema, req Request, now model.Millis, sc *Scratch) (Result, error) {
 	p.RLock()
 	defer p.RUnlock()
-	return RunSealedScratch(p, schema, req, now, sc)
+	return Run(p, schema, req, now, sc)
 }
 
-// RunSealedScratch is RunScratch without the lock, for a profile the
-// caller guarantees no writer can reach: GCache's hot read replica, which
-// is invalidated (never mutated) on write, or a profile whose read lock
-// the caller already holds. Skipping the lock matters where hot replicas
-// are used: concurrent readers of one Zipf-head profile would otherwise
-// all bounce the same RWMutex reader-count cache line.
+// Run executes the request against a live profile at the given query
+// time. The caller holds p's read lock (a batch group holds it once for
+// all its sub-queries). The Result aliases sc's storage and is valid
+// until sc's next run.
 //
 //ips:hotpath
-func RunSealedScratch(p *model.Profile, schema *model.Schema, req Request, now model.Millis, sc *Scratch) (Result, error) {
+func Run(p *model.Profile, schema *model.Schema, req Request, now model.Millis, sc *Scratch) (Result, error) {
 	return sc.run(p.Slices(), schema, req, now, p.Latest())
 }
 
-// run is the kernel: the four steps of §II-B2 over one slice list.
+// RunSealedScratch is Run under its former name.
+//
+// Deprecated: use Run, or RunSealed for a sealed form. It is kept only
+// because the benchmark module (benchmark/trace.go) calls it and is
+// versioned separately from the program.
+//
+//ips:hotpath
+func RunSealedScratch(p *model.Profile, schema *model.Schema, req Request, now model.Millis, sc *Scratch) (Result, error) {
+	return Run(p, schema, req, now, sc)
+}
+
+// run is the live kernel: the four steps of §II-B2 over one slice list.
 //
 //ips:hotpath
 func (sc *Scratch) run(slices []*model.Slice, schema *model.Schema, req Request, now, latest model.Millis) (Result, error) {
-	from, to, err := req.Range.Resolve(now, latest)
+	from, to, actionIdx, err := prepare(schema, req, now, latest)
 	if err != nil {
 		return Result{}, err
-	}
-	actionIdx := 0
-	if req.SortBy == ByAction && req.Action != "" {
-		if actionIdx, err = schema.ActionIndex(req.Action); err != nil {
-			return Result{}, err
-		}
-	}
-	if req.SortBy == ByUDAF && req.UDAF == nil {
-		return Result{}, errUDAFRequired
 	}
 	// Step 1: locate the slices in range. Step 2: multi-way merge and
 	// aggregate through the fid table. Step 3: decay (already in the part
 	// weights) and filters. Step 4: top K, sorted.
 	scanned, stats := sc.locate(slices, req, from, to)
-	sc.width = schema.NumActions()
-	sc.fids, sc.cnt, sc.last = sc.fids[:0], sc.cnt[:0], sc.last[:0]
+	sc.reset(schema.NumActions())
 	sc.resize(min(stats, maxPresize))
 	sc.merge(schema)
-	sc.filter(req, actionIdx)
-	top := sc.topK(req.K)
-	out := sc.out[:0]
-	for _, r := range top {
-		out = append(out, sc.feature(int(r), req.UDAF != nil))
+	sc.admit(&req, actionIdx)
+	return sc.result(req, scanned), nil
+}
+
+// prepare resolves the request's window and its sort action, and rejects
+// a request the kernel cannot answer.
+//
+//ips:hotpath
+func prepare(schema *model.Schema, req Request, now, latest model.Millis) (from, to model.Millis, actionIdx int, err error) {
+	if from, to, err = req.Range.Resolve(now, latest); err != nil {
+		return 0, 0, 0, err
 	}
-	sc.out = out
-	return Result{Features: out, SlicesScanned: scanned}, nil
+	if req.SortBy == ByAction && req.Action != "" {
+		if actionIdx, err = schema.ActionIndex(req.Action); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	if req.SortBy == ByUDAF && req.UDAF == nil {
+		return 0, 0, 0, errUDAFRequired
+	}
+	return from, to, actionIdx, nil
+}
+
+// reset empties the row columns and the heap for a run over width
+// actions, keeping their capacity.
+//
+//ips:hotpath
+func (sc *Scratch) reset(width int) {
+	sc.width = width
+	sc.fids, sc.cnt, sc.last = sc.fids[:0], sc.cnt[:0], sc.last[:0]
+	sc.key, sc.score, sc.rows = sc.key[:0], sc.score[:0], sc.rows[:0]
 }
 
 // locate collects the requested slot's stats from every slice that
-// overlaps [from, to) and carries a nonzero decay weight. It returns the
-// number of overlapping slices and the summed stat count of the parts.
+// overlaps [from, to) and carries a nonzero decay weight, a slice's types
+// in ascending order. It returns the number of overlapping slices and the
+// summed stat count of the parts.
 //
 //ips:hotpath
 func (sc *Scratch) locate(slices []*model.Slice, req Request, from, to model.Millis) (scanned, stats int) {
@@ -335,16 +363,19 @@ func (sc *Scratch) locate(slices []*model.Slice, req Request, from, to model.Mil
 		if set == nil {
 			continue
 		}
-		w := decayWeight(req, s, from, to)
+		w := decayWeight(req, s.Start, s.End, from, to)
 		if w == 0 {
 			continue
 		}
-		end := s.End
-		if req.AllTypes {
-			//ipslint:ignore hotpathalloc all-types fan-out is an analytics shape, off the steady-state topK path
-			set.Each(func(_ model.TypeID, fs *model.FeatureStats) { sc.parts = append(sc.parts, part{fs, w, end}) })
-		} else if fs := set.Get(req.Type); fs != nil {
-			sc.parts = append(sc.parts, part{fs, w, end})
+		if !req.AllTypes {
+			if fs := set.Get(req.Type); fs != nil {
+				sc.parts = append(sc.parts, part{fs, w, s.End})
+			}
+			continue
+		}
+		sc.types = set.AppendTypes(sc.types[:0])
+		for _, t := range sc.types {
+			sc.parts = append(sc.parts, part{set.Get(t), w, s.End})
 		}
 	}
 	for _, pt := range sc.parts {
@@ -418,16 +449,13 @@ func (sc *Scratch) row(fid model.FeatureID, end model.Millis) int {
 	return r
 }
 
-// merge aggregates every located part into the row columns. When every
-// reducer is SUM the counts merge in plain add loops, with the unweighted
-// case split out; other schemas merge through schemaReduceMerge.
+// merge aggregates every located part into the row columns, through
+// accumulate's loops written out: a call per stat costs the live kernel
+// about a tenth of its time.
 //
 //ips:hotpath
 func (sc *Scratch) merge(schema *model.Schema) {
-	sum := true
-	for i := 0; i < sc.width; i++ {
-		sum = sum && reducerOf(schema, i) == model.ReduceSum
-	}
+	sum := allSum(schema, sc.width)
 	for _, pt := range sc.parts {
 		for _, st := range pt.fs.View() {
 			r, src := sc.row(st.FID, pt.end), st.Counts
@@ -437,9 +465,7 @@ func (sc *Scratch) merge(schema *model.Schema) {
 			}
 			switch {
 			case !sum:
-				for i, c := range src {
-					dst[i] = schemaReduceMerge(schema, i, dst[i], weighted(c, pt.w))
-				}
+				reduceInto(dst, src, pt.w, schema)
 			case pt.w == 1:
 				for i, c := range src {
 					dst[i] += c
@@ -453,23 +479,88 @@ func (sc *Scratch) merge(schema *model.Schema) {
 	}
 }
 
-// filter scores every row when the request carries a UDAF, keeps the rows
-// that pass MinScore and the request's filter, and gives each kept row
-// its sort key: a larger key sorts first, equal keys by ascending FID.
+// allSum reports whether every one of the width actions reduces by SUM.
 //
 //ips:hotpath
-func (sc *Scratch) filter(req Request, actionIdx int) {
-	n, f, udaf := len(sc.fids), req.Filter, req.UDAF != nil
-	sc.key, sc.score = sc.key[:n], sc.score[:n]
-	rows := sc.rows[:0]
-	for r := 0; r < n; r++ {
+func allSum(schema *model.Schema, width int) bool {
+	for i := 0; i < width; i++ {
+		if reducerOf(schema, i) != model.ReduceSum {
+			return false
+		}
+	}
+	return true
+}
+
+// accumulate folds one part's counts src, scaled by its decay weight w,
+// into the row dst. When every reducer is SUM (sum) the counts merge in a
+// plain add loop, small enough to inline into both kernels' row loops;
+// other schemas merge through reduceInto. Counts past the schema's width
+// are ignored.
+//
+//ips:hotpath
+func accumulate(dst, src []int64, w float64, sum bool, schema *model.Schema) {
+	if len(src) > len(dst) {
+		src = src[:len(dst)]
+	}
+	if !sum {
+		reduceInto(dst, src, w, schema)
+		return
+	}
+	for i, c := range src {
+		dst[i] += weighted(c, w)
+	}
+}
+
+// reduceInto is accumulate's merge under the schema's reducers.
+//
+//ips:hotpath
+func reduceInto(dst, src []int64, w float64, schema *model.Schema) {
+	for i, c := range src {
+		dst[i] = schemaReduceMerge(schema, i, dst[i], weighted(c, w))
+	}
+}
+
+// admit is the per-row step both kernels share: it admits every row not
+// yet admitted (from len(key) up to the row count), each with complete
+// counts — the live kernel all its rows at once, the sealed kernel each
+// row as it is gathered. admit gives a row its sort key — a larger key
+// sorts first, equal keys by ascending FID — and, when the request
+// carries a UDAF, its score (the score column is filled only then). It
+// drops the row if MinScore or the request's filter rejects it, and
+// offers it to the top-K heap, which keeps its lowest-ranked row at the
+// root. With K <= 0 every kept row joins.
+//
+//ips:hotpath
+func (sc *Scratch) admit(req *Request, actionIdx int) {
+	udaf, f := req.UDAF != nil, req.Filter
+	for r := len(sc.key); r < len(sc.fids); r++ {
 		c := sc.cnt[r*sc.width : (r+1)*sc.width : (r+1)*sc.width]
+		var k int64
+		switch req.SortBy {
+		case ByTimestamp:
+			k = sc.last[r]
+		case ByTotal:
+			for _, x := range c {
+				k += x
+			}
+		case ByFeatureID, ByUDAF: // ByUDAF's key is set with the score below
+		default: // ByAction
+			if actionIdx < len(c) {
+				k = c[actionIdx]
+			}
+		}
 		if udaf {
 			//ipslint:ignore hotpathalloc UDAF scoring is a dynamic call by design, off the default topK shape
-			sc.score[r] = req.UDAF(c)
-			if sc.score[r] < req.MinScore {
+			score := req.UDAF(c)
+			if req.SortBy == ByUDAF {
+				k = scoreKey(score)
+			}
+			sc.score, sc.key = append(sc.score, score), append(sc.key, k)
+			if score < req.MinScore {
 				continue
 			}
+		} else {
+			sc.key = append(sc.key, k)
 		}
 		if f != nil {
 			if f.MinCount > 0 && (actionIdx >= len(c) || c[actionIdx] < f.MinCount) {
@@ -483,26 +574,39 @@ func (sc *Scratch) filter(req Request, actionIdx int) {
 				continue
 			}
 		}
-		var k int64
-		switch req.SortBy {
-		case ByTimestamp:
-			k = sc.last[r]
-		case ByFeatureID:
-		case ByTotal:
-			for _, x := range c {
-				k += x
+		if req.K > 0 && len(sc.rows) == req.K {
+			if sc.below(sc.rows[0], int32(r)) {
+				sc.rows[0] = int32(r)
+				sc.sift(sc.rows, 0)
 			}
-		case ByUDAF:
-			k = scoreKey(sc.score[r])
-		default: // ByAction
-			if actionIdx < len(c) {
-				k = c[actionIdx]
-			}
+			continue
 		}
-		sc.key[r] = k
-		rows = append(rows, int32(r))
+		sc.rows = append(sc.rows, int32(r))
+		if len(sc.rows) == req.K {
+			sc.heapify(sc.rows)
+		}
 	}
-	sc.rows = rows
+}
+
+// result sorts the admitted rows best first and returns them as Features
+// whose Counts alias the scratch.
+//
+//ips:hotpath
+func (sc *Scratch) result(req Request, scanned int) Result {
+	heap := sc.rows
+	if len(heap) != req.K {
+		sc.heapify(heap)
+	}
+	for n := len(heap) - 1; n > 0; n-- {
+		heap[0], heap[n] = heap[n], heap[0]
+		sc.sift(heap[:n], 0)
+	}
+	out := sc.out[:0]
+	for _, r := range heap {
+		out = append(out, sc.feature(int(r), req.UDAF != nil))
+	}
+	sc.out = out
+	return Result{Features: out, SlicesScanned: scanned}
 }
 
 // scoreKey maps a score onto an int64 with the same order. Adding +0 maps
@@ -527,6 +631,15 @@ func (sc *Scratch) below(a, b int32) bool {
 	return sc.fids[a] > sc.fids[b]
 }
 
+// heapify orders heap so that its root is its lowest-ranked row.
+//
+//ips:hotpath
+func (sc *Scratch) heapify(heap []int32) {
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		sc.sift(heap, i)
+	}
+}
+
 // sift restores the heap below i; the heap keeps its lowest-ranked row at
 // the root.
 //
@@ -542,33 +655,6 @@ func (sc *Scratch) sift(heap []int32, i int) {
 		heap[i], heap[l] = heap[l], heap[i]
 		i = l
 	}
-}
-
-// topK returns the best k kept rows (all of them when k <= 0), best first.
-// A heap of the first k rows admits each later row that beats its root;
-// heapsort then orders the survivors in place.
-//
-//ips:hotpath
-func (sc *Scratch) topK(k int) []int32 {
-	rows := sc.rows
-	if k <= 0 || k > len(rows) {
-		k = len(rows)
-	}
-	heap := rows[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		sc.sift(heap, i)
-	}
-	for _, r := range rows[k:] {
-		if sc.below(heap[0], r) {
-			heap[0] = r
-			sc.sift(heap, 0)
-		}
-	}
-	for n := k - 1; n > 0; n-- {
-		heap[0], heap[n] = heap[n], heap[0]
-		sc.sift(heap[:n], 0)
-	}
-	return heap
 }
 
 // feature returns row r as a Feature whose Counts alias the scratch.
@@ -634,10 +720,11 @@ func weighted(c int64, w float64) int64 {
 	return t + int64(2*(x-float64(t)))
 }
 
-// decayWeight computes the decay multiplier for a slice inside the window.
+// decayWeight computes the decay multiplier for the slice [start, end)
+// inside the window: a weight in [0, 1], or NaN for a NaN DecayFactor.
 //
 //ips:hotpath
-func decayWeight(req Request, s *model.Slice, from, to model.Millis) float64 {
+func decayWeight(req Request, start, end, from, to model.Millis) float64 {
 	if req.Decay == DecayNone {
 		return 1
 	}
@@ -646,7 +733,7 @@ func decayWeight(req Request, s *model.Slice, from, to model.Millis) float64 {
 		return 1
 	}
 	// Age of the slice's midpoint relative to the window end.
-	mid := float64(s.Start+s.End) / 2
+	mid := float64(start+end) / 2
 	age := float64(to) - mid
 	if age < 0 {
 		age = 0
@@ -656,7 +743,7 @@ func decayWeight(req Request, s *model.Slice, from, to model.Millis) float64 {
 	case DecayExp:
 		// factor in (0,1]; weight = factor^(age in slice-widths), with a
 		// floor of one width so head slices are not over-weighted.
-		width := float64(s.Width())
+		width := float64(end - start)
 		if width <= 0 {
 			width = 1
 		}

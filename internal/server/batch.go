@@ -106,10 +106,10 @@ func (in *Instance) queryGroup(ctx context.Context, caller, table string, id mod
 		failAll(err)
 		return
 	}
-	// Hot profiles come back as an immutable read replica, so concurrent
+	// Hot profiles come back as their sealed read form, so concurrent
 	// groups for the same Zipf-head profile compute without touching the
 	// live profile's lock.
-	p, hit, hot, err := ts.cache.GetForRead(ctx, id)
+	sealed, p, hit, err := ts.cache.GetReadForm(ctx, id)
 	if err != nil {
 		failAll(err)
 		return
@@ -133,11 +133,11 @@ func (in *Instance) queryGroup(ctx context.Context, caller, table string, id mod
 		}
 		group = append(group, groupQuery{slot: i, req: q})
 	}
-	if p != nil {
+	if sealed != nil || p != nil {
 		csp := trace.StartLeaf(ctx, trace.StageCacheCompute)
 		sc := query.GetScratch()
-		if hot {
-			runGroup(p, ts.schema, in.clock(), sc, group)
+		if sealed != nil {
+			runGroup(sealed, nil, ts.schema, in.clock(), sc, group)
 		} else {
 			runGroupLocked(p, ts.schema, in.clock(), sc, group)
 		}
@@ -160,25 +160,38 @@ func (in *Instance) queryGroup(ctx context.Context, caller, table string, id mod
 	in.Queries.Add(int64(len(group)))
 }
 
-// runGroupLocked is runGroup under p's read lock, held once for the group.
+// runGroupLocked is runGroup on the live profile p under its read lock,
+// held once for the group.
 func runGroupLocked(p *model.Profile, schema *model.Schema, now model.Millis, sc *query.Scratch, group []groupQuery) {
 	p.RLock()
 	defer p.RUnlock()
-	runGroup(p, schema, now, sc, group)
+	runGroup(nil, p, schema, now, sc, group)
 }
 
-// runGroup answers every sub-query of a group on sc and copies each
-// result's rows into one Feature slice and one count slice shared by the
-// group, so sc can return to the pool before the responses are encoded.
-// The caller holds p's read lock, or p is an immutable hot replica, so
-// the freshness watermark is read under the same hold as the rows.
-func runGroup(p *model.Profile, schema *model.Schema, now model.Millis, sc *query.Scratch, group []groupQuery) {
-	lsn := maxLSN(p.WalLSN, p.MigLSN)
+// runGroup answers every sub-query of a group on sc — from the sealed
+// form when the profile is promoted, else from p, whose read lock the
+// caller holds — and copies each result's rows into one Feature slice
+// and one count slice shared by the group, so sc can return to the pool
+// before the responses are encoded. The freshness watermark comes from
+// the same form, under the same hold, as the rows.
+func runGroup(sealed *query.Sealed, p *model.Profile, schema *model.Schema, now model.Millis, sc *query.Scratch, group []groupQuery) {
+	var lsn uint64
+	if sealed != nil {
+		lsn = maxLSN(sealed.WalLSN, sealed.MigLSN)
+	} else {
+		lsn = maxLSN(p.WalLSN, p.MigLSN)
+	}
 	var feats []query.Feature
 	var cnts []int64
 	for j := range group {
 		b := &group[j]
-		res, err := query.RunSealedScratch(p, schema, b.req, now, sc)
+		var res query.Result
+		var err error
+		if sealed != nil {
+			res, err = query.RunSealed(sealed, b.req, now, sc)
+		} else {
+			res, err = query.Run(p, schema, b.req, now, sc)
+		}
 		if err != nil {
 			b.err = err
 			continue

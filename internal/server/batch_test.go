@@ -155,8 +155,8 @@ func TestQueryBatchOverRPC(t *testing.T) {
 
 // TestQueryBatchCarriesWalLSN: a batch sub-result reports the same
 // freshness watermark as the single read of the same profile and
-// request, both when the live profile serves it and when a hot replica
-// does.
+// request, both when the live profile serves it and when a hot sealed
+// form does.
 func TestQueryBatchCarriesWalLSN(t *testing.T) {
 	jn, err := wal.Open(filepath.Join(t.TempDir(), "journal"), wal.Options{})
 	if err != nil {

@@ -694,21 +694,22 @@ func (in *Instance) QueryInto(ctx context.Context, req *wire.QueryRequest, resp 
 	if err != nil {
 		return err
 	}
-	p, hit, hot, err := ts.cache.GetForRead(ctx, req.ProfileID)
+	sealed, p, hit, err := ts.cache.GetReadForm(ctx, req.ProfileID)
 	if err != nil {
 		return err
 	}
 	*resp = wire.QueryResponse{Features: resp.Features[:0]}
 	resp.CacheHit = hit
-	if p != nil {
+	if sealed != nil || p != nil {
 		// Surface the freshness watermark: the local journal ack plus the
 		// migration watermark carried over from a previous owner. Dual
 		// readers prefer the fresher side during a resharding window, and
 		// the migration-storm suite asserts post-cutover reads observe a
-		// watermark >= every pre-cutover ack. Hot replicas are immutable
-		// snapshots, so their fields are safe to read without the lock.
-		if hot {
-			resp.WalLSN = maxLSN(p.WalLSN, p.MigLSN)
+		// watermark >= every pre-cutover ack. A sealed form carries the
+		// watermarks it was sealed at and is never written, so it needs no
+		// lock.
+		if sealed != nil {
+			resp.WalLSN = maxLSN(sealed.WalLSN, sealed.MigLSN)
 		} else {
 			p.RLock()
 			resp.WalLSN = maxLSN(p.WalLSN, p.MigLSN)
@@ -726,10 +727,11 @@ func (in *Instance) QueryInto(ctx context.Context, req *wire.QueryRequest, resp 
 		var res query.Result
 		//ipslint:ignore hotpathalloc the clock is an injected func value; the default model.Now does not allocate
 		now := in.clock()
-		if hot {
-			// Hot replicas are immutable, so the per-profile read lock —
-			// the very thing the replica exists to relieve — is skipped.
-			res, err = query.RunSealedScratch(p, ts.schema, q, now, sc)
+		if sealed != nil {
+			// The sealed kernel reads the hot profile's immutable form:
+			// no per-profile read lock — the very thing hot slots exist
+			// to relieve — and a top-K that stops at its bound.
+			res, err = query.RunSealed(sealed, q, now, sc)
 		} else {
 			res, err = query.RunScratch(p, ts.schema, q, now, sc)
 		}
@@ -858,7 +860,7 @@ func (in *Instance) DeleteProfile(table string, id model.ProfileID) error {
 	ts.main.Delete(id)
 	mp.Unlock()
 	// Discard retires the LRU entry (at its recorded charge), any warm
-	// blob, and the hot replicas — a deleted profile must vanish from
+	// blob, and the hot sealed form — a deleted profile must vanish from
 	// every tier, or a later miss could resurrect it from a stale blob.
 	ts.cache.Discard(id)
 	ts.writeMu.Unlock()

@@ -95,8 +95,8 @@ const (
 	// v2's cross-request coalescing): the waiter shares the leader's
 	// result instead of issuing its own KV read.
 	StageSingleflightWait
-	// StageHotSlotHit tags a read served from a replicated hot-profile
-	// read slot — an immutable snapshot that bypasses the live profile's
+	// StageHotSlotHit tags a read served from a hot profile's sealed
+	// read form — an immutable snapshot that bypasses the live profile's
 	// lock entirely.
 	StageHotSlotHit
 	// StageWarmHit tags a cache fill served by re-inflating a

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 
 	"ips/internal/codec"
 )
@@ -66,35 +65,26 @@ func MarshalSlice(s *Slice) []byte {
 }
 
 // encodeSlice writes a canonical encoding: slots and types are emitted in
-// ascending ID order (not map order), so identical content always
-// marshals to identical bytes. The incremental persistence mode depends
-// on this to fingerprint unchanged slices.
+// ascending ID order, the order a Slice keeps them in, so identical content
+// always marshals to identical bytes. The incremental persistence mode
+// depends on this to fingerprint unchanged slices.
 func encodeSlice(e *codec.Buffer, s *Slice) {
 	e.Int64(fSliceStart, s.Start)
 	e.Int64(fSliceEnd, s.End)
 	e.Int64(fSliceLatest, s.Latest)
 
-	slots := make([]SlotID, 0, s.NumSlots())
-	s.EachSlot(func(slot SlotID, _ *InstanceSet) { slots = append(slots, slot) })
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-
-	for _, slot := range slots {
-		set := s.Slot(slot)
+	for _, se := range s.slots {
 		e.Message(fSliceSlot, func(sl *codec.Buffer) {
-			sl.Uint32(fSlotID, slot)
-			types := make([]TypeID, 0, set.Len())
-			set.Each(func(typ TypeID, _ *FeatureStats) { types = append(types, typ) })
-			sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-			for _, typ := range types {
-				fs := set.Get(typ)
-				sl.Message(fSlotType, func(te *codec.Buffer) {
-					te.Uint32(fTypeID, typ)
-					fs.Each(func(st FeatureStat) {
-						te.Message(fTypeStats, func(fe *codec.Buffer) {
+			sl.Uint32(fSlotID, se.slot)
+			for _, te := range se.set.types {
+				sl.Message(fSlotType, func(tb *codec.Buffer) {
+					tb.Uint32(fTypeID, te.typ)
+					for _, st := range te.fs.stats {
+						tb.Message(fTypeStats, func(fe *codec.Buffer) {
 							fe.Uint64(fStatFID, st.FID)
 							fe.PackedI64(fStatCounts, st.Counts)
 						})
-					})
+					}
 				})
 			}
 		})
@@ -237,10 +227,7 @@ func decodeSlot(r *codec.Reader, s *Slice) error {
 		}
 	}
 	if set != nil {
-		if s.slots == nil {
-			s.slots = make(map[SlotID]*InstanceSet)
-		}
-		s.slots[slot] = set
+		s.putSlot(slot, set)
 	}
 	return nil
 }
@@ -275,10 +262,8 @@ func decodeType(r *codec.Reader, set *InstanceSet) error {
 		}
 	}
 	fs := set.GetOrCreate(typ)
-	for _, st := range stats {
-		fs.fidIndex[st.FID] = len(fs.stats)
-		fs.stats = append(fs.stats, st)
-	}
+	fs.stats = append(fs.stats, stats...)
+	fs.reindex()
 	return nil
 }
 

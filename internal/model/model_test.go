@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -186,7 +187,8 @@ func TestFeatureStatsRetain(t *testing.T) {
 
 func TestFeatureStatsIndexCoherentProperty(t *testing.T) {
 	// Property: after any sequence of merges and deletes, every stat is
-	// findable through the fid index and the index has no stale entries.
+	// findable at its position, a set past indexAt has an index, and an
+	// index has no stale entries.
 	s := NewSchema("n")
 	f := func(ops []uint16) bool {
 		fs := NewFeatureStats()
@@ -197,6 +199,14 @@ func TestFeatureStatsIndexCoherentProperty(t *testing.T) {
 			} else {
 				fs.Merge(s, fid, []int64{1})
 			}
+		}
+		for i, st := range fs.stats {
+			if j, ok := fs.find(st.FID); !ok || j != i {
+				return false
+			}
+		}
+		if fs.fidIndex == nil {
+			return len(fs.stats) <= indexAt
 		}
 		if len(fs.fidIndex) != len(fs.stats) {
 			return false
@@ -210,6 +220,75 @@ func TestFeatureStatsIndexCoherentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFeatureStatsLookupAcrossIndexAt(t *testing.T) {
+	// A set answers the same whether it scans or has built its index:
+	// through Merge, Clone, Retain and a marshal round trip, at every
+	// size around indexAt.
+	s := NewSchema("n")
+	check := func(what string, fs *FeatureStats, want map[FeatureID]int64) {
+		t.Helper()
+		if fs.Len() != len(want) {
+			t.Fatalf("%s: %d stats, want %d", what, fs.Len(), len(want))
+		}
+		for fid := FeatureID(0); fid < 3*indexAt; fid++ {
+			got := fs.Get(fid)
+			if w, ok := want[fid]; ok != (got != nil) || ok && got[0] != w {
+				t.Fatalf("%s: fid %d = %v, want %d (present %v)", what, fid, got, w, ok)
+			}
+		}
+	}
+	for n := 0; n <= 2*indexAt+1; n++ {
+		fs := NewFeatureStats()
+		want := map[FeatureID]int64{}
+		for i := 0; i < n; i++ {
+			fid := FeatureID((i * 7) % (2*indexAt + 2)) // distinct, out of order
+			fs.Merge(s, fid, []int64{int64(i + 1)})
+			want[fid] = int64(i + 1)
+		}
+		check("merge", fs, want)
+		check("clone", fs.Clone(), want)
+
+		sl := NewSlice(0, 1000)
+		sl.slotOrCreate(3).GetOrCreate(4).MergeAll(s, fs)
+		back, err := UnmarshalSlice(MarshalSlice(sl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("round trip", back.Slot(3).GetOrCreate(4), want)
+
+		fs.Retain(func(st FeatureStat) bool { return st.FID%2 == 0 })
+		for fid := range want {
+			if fid%2 != 0 {
+				delete(want, fid)
+			}
+		}
+		check("retain", fs, want)
+	}
+}
+
+func TestSliceSlotsAndTypesAscending(t *testing.T) {
+	s := NewSchema("n")
+	sl := NewSlice(0, 1000)
+	for _, k := range []uint32{5, 1, 9, 3, 1, 7} {
+		sl.Add(s, 1, k, 10-k, 1, []int64{1})
+		sl.Add(s, 1, 2, k, 1, []int64{1})
+	}
+	var slots []SlotID
+	sl.EachSlot(func(id SlotID, _ *InstanceSet) { slots = append(slots, id) })
+	if !reflect.DeepEqual(slots, []SlotID{1, 2, 3, 5, 7, 9}) {
+		t.Fatalf("slots %v, want ascending", slots)
+	}
+	var types []TypeID
+	sl.Slot(2).Each(func(typ TypeID, _ *FeatureStats) { types = append(types, typ) })
+	if !reflect.DeepEqual(types, []TypeID{1, 3, 5, 7, 9}) {
+		t.Fatalf("types %v, want ascending", types)
+	}
+	sl.Slot(2).Delete(5)
+	if sl.Slot(2).Get(5) != nil || sl.Slot(2).Len() != 4 || sl.Slot(4) != nil {
+		t.Fatal("delete or absent lookup wrong")
 	}
 }
 

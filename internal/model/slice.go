@@ -1,29 +1,58 @@
 package model
 
+import "slices"
+
 // InstanceSet maps a Type to its feature stats inside one slice — the
-// middle level of the paper's multi-layer hash map (§III-B).
+// middle level of the paper's multi-layer hash map (§III-B). A slot holds a
+// handful of types, so the set is an array kept in ascending TypeID order
+// rather than a hash map: a lookup is a binary search over a few entries,
+// iteration is ordered, and a set costs no map.
 type InstanceSet struct {
-	types map[TypeID]*FeatureStats
+	types []typeStats
+}
+
+// typeStats is one entry of an InstanceSet.
+type typeStats struct {
+	typ TypeID
+	fs  *FeatureStats
 }
 
 // NewInstanceSet returns an empty InstanceSet.
-func NewInstanceSet() *InstanceSet {
-	return &InstanceSet{types: make(map[TypeID]*FeatureStats)}
+func NewInstanceSet() *InstanceSet { return &InstanceSet{} }
+
+// find returns typ's position, or the position it would be inserted at.
+//
+//ips:hotpath
+func (is *InstanceSet) find(typ TypeID) (int, bool) {
+	lo, hi := 0, len(is.types)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if is.types[m].typ < typ {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(is.types) && is.types[lo].typ == typ
 }
 
 // Get returns the FeatureStats for typ, or nil when absent.
 //
 //ips:hotpath
-func (is *InstanceSet) Get(typ TypeID) *FeatureStats { return is.types[typ] }
+func (is *InstanceSet) Get(typ TypeID) *FeatureStats {
+	if i, ok := is.find(typ); ok {
+		return is.types[i].fs
+	}
+	return nil
+}
 
 // GetOrCreate returns the FeatureStats for typ, creating it when absent.
 func (is *InstanceSet) GetOrCreate(typ TypeID) *FeatureStats {
-	fs, ok := is.types[typ]
+	i, ok := is.find(typ)
 	if !ok {
-		fs = NewFeatureStats()
-		is.types[typ] = fs
+		is.types = slices.Insert(is.types, i, typeStats{typ, NewFeatureStats()})
 	}
-	return fs
+	return is.types[i].fs
 }
 
 // Len returns the number of types present.
@@ -38,42 +67,43 @@ func (is *InstanceSet) Len() int { return len(is.types) }
 //
 //ips:hotpath
 func (is *InstanceSet) AppendTypes(dst []TypeID) []TypeID {
-	n := len(dst)
-	for t := range is.types {
-		dst = append(dst, t)
-	}
-	for i := n + 1; i < len(dst); i++ {
-		for j := i; j > n && dst[j] < dst[j-1]; j-- {
-			dst[j], dst[j-1] = dst[j-1], dst[j]
-		}
+	for _, e := range is.types {
+		dst = append(dst, e.typ)
 	}
 	return dst
 }
 
-// Each calls fn for every (type, stats) pair, in map order.
+// Each calls fn for every (type, stats) pair, in ascending TypeID order.
+// fn must not add or delete types.
 func (is *InstanceSet) Each(fn func(TypeID, *FeatureStats)) {
-	for t, fs := range is.types {
-		fn(t, fs)
+	for _, e := range is.types {
+		fn(e.typ, e.fs)
 	}
 }
 
 // Delete removes typ.
-func (is *InstanceSet) Delete(typ TypeID) { delete(is.types, typ) }
+func (is *InstanceSet) Delete(typ TypeID) {
+	if i, ok := is.find(typ); ok {
+		is.types = slices.Delete(is.types, i, i+1)
+	}
+}
 
 // Clone returns a deep copy.
 func (is *InstanceSet) Clone() *InstanceSet {
-	c := NewInstanceSet()
-	for t, fs := range is.types {
-		c.types[t] = fs.Clone()
+	c := &InstanceSet{types: make([]typeStats, len(is.types))}
+	for i, e := range is.types {
+		c.types[i] = typeStats{e.typ, e.fs.Clone()}
 	}
 	return c
 }
 
-// MemSize estimates the in-memory footprint in bytes.
+// MemSize estimates the in-memory footprint in bytes. It prices every
+// level as a map, more than the sorted arrays cost: GCache budgets in this
+// unit, and a fixed unit keeps which profiles a MemLimit admits.
 func (is *InstanceSet) MemSize() int64 {
 	var n int64 = 48
-	for _, fs := range is.types {
-		n += 16 + fs.MemSize()
+	for _, e := range is.types {
+		n += 16 + e.fs.MemSize()
 	}
 	return n
 }
@@ -90,12 +120,53 @@ type Slice struct {
 	// used by RELATIVE time-range queries.
 	Latest Millis
 
-	slots map[SlotID]*InstanceSet
+	// slots is kept in ascending SlotID order, like InstanceSet's types.
+	slots []slotSet
+}
+
+// slotSet is one entry of a Slice's slots.
+type slotSet struct {
+	slot SlotID
+	set  *InstanceSet
 }
 
 // NewSlice creates an empty slice covering [start, end).
 func NewSlice(start, end Millis) *Slice {
-	return &Slice{Start: start, End: end, slots: make(map[SlotID]*InstanceSet)}
+	return &Slice{Start: start, End: end}
+}
+
+// findSlot returns slot's position, or the position it would be inserted at.
+//
+//ips:hotpath
+func (s *Slice) findSlot(slot SlotID) (int, bool) {
+	lo, hi := 0, len(s.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.slots[m].slot < slot {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.slots) && s.slots[lo].slot == slot
+}
+
+// slotOrCreate returns the InstanceSet for slot, creating it when absent.
+func (s *Slice) slotOrCreate(slot SlotID) *InstanceSet {
+	i, ok := s.findSlot(slot)
+	if !ok {
+		s.slots = slices.Insert(s.slots, i, slotSet{slot, NewInstanceSet()})
+	}
+	return s.slots[i].set
+}
+
+// putSlot stores set under slot, replacing any set held there.
+func (s *Slice) putSlot(slot SlotID, set *InstanceSet) {
+	if i, ok := s.findSlot(slot); ok {
+		s.slots[i].set = set
+	} else {
+		s.slots = slices.Insert(s.slots, i, slotSet{slot, set})
+	}
 }
 
 // Contains reports whether ts falls inside the slice interval.
@@ -116,26 +187,27 @@ func (s *Slice) Width() Millis { return s.End - s.Start }
 // Slot returns the InstanceSet for slot, or nil when absent.
 //
 //ips:hotpath
-func (s *Slice) Slot(slot SlotID) *InstanceSet { return s.slots[slot] }
+func (s *Slice) Slot(slot SlotID) *InstanceSet {
+	if i, ok := s.findSlot(slot); ok {
+		return s.slots[i].set
+	}
+	return nil
+}
 
 // NumSlots returns the number of slots present.
 func (s *Slice) NumSlots() int { return len(s.slots) }
 
-// EachSlot calls fn for every (slot, set) pair.
+// EachSlot calls fn for every (slot, set) pair, in ascending SlotID order.
+// fn must not add slots.
 func (s *Slice) EachSlot(fn func(SlotID, *InstanceSet)) {
-	for id, set := range s.slots {
-		fn(id, set)
+	for _, e := range s.slots {
+		fn(e.slot, e.set)
 	}
 }
 
 // Add merges one feature observation into the slice.
 func (s *Slice) Add(schema *Schema, ts Millis, slot SlotID, typ TypeID, fid FeatureID, counts []int64) {
-	set, ok := s.slots[slot]
-	if !ok {
-		set = NewInstanceSet()
-		s.slots[slot] = set
-	}
-	set.GetOrCreate(typ).Merge(schema, fid, counts)
+	s.slotOrCreate(slot).GetOrCreate(typ).Merge(schema, fid, counts)
 	if ts > s.Latest {
 		s.Latest = ts
 	}
@@ -144,16 +216,12 @@ func (s *Slice) Add(schema *Schema, ts Millis, slot SlotID, typ TypeID, fid Feat
 // MergeFrom folds every slot of other into s and widens s's interval to
 // cover other's. Used by compaction.
 func (s *Slice) MergeFrom(schema *Schema, other *Slice) {
-	other.EachSlot(func(slot SlotID, set *InstanceSet) {
-		dst, ok := s.slots[slot]
-		if !ok {
-			dst = NewInstanceSet()
-			s.slots[slot] = dst
+	for _, e := range other.slots {
+		dst := s.slotOrCreate(e.slot)
+		for _, te := range e.set.types {
+			dst.GetOrCreate(te.typ).MergeAll(schema, te.fs)
 		}
-		set.Each(func(typ TypeID, fs *FeatureStats) {
-			dst.GetOrCreate(typ).MergeAll(schema, fs)
-		})
-	})
+	}
 	if other.Start < s.Start {
 		s.Start = other.Start
 	}
@@ -168,27 +236,29 @@ func (s *Slice) MergeFrom(schema *Schema, other *Slice) {
 // NumFeatures returns the total feature count across all slots and types.
 func (s *Slice) NumFeatures() int {
 	var n int
-	for _, set := range s.slots {
-		set.Each(func(_ TypeID, fs *FeatureStats) { n += fs.Len() })
+	for _, e := range s.slots {
+		for _, te := range e.set.types {
+			n += te.fs.Len()
+		}
 	}
 	return n
 }
 
 // Clone returns a deep copy.
 func (s *Slice) Clone() *Slice {
-	c := NewSlice(s.Start, s.End)
-	c.Latest = s.Latest
-	for id, set := range s.slots {
-		c.slots[id] = set.Clone()
+	c := &Slice{Start: s.Start, End: s.End, Latest: s.Latest, slots: make([]slotSet, len(s.slots))}
+	for i, e := range s.slots {
+		c.slots[i] = slotSet{e.slot, e.set.Clone()}
 	}
 	return c
 }
 
-// MemSize estimates the in-memory footprint in bytes.
+// MemSize estimates the in-memory footprint in bytes, on the same fixed
+// scale as InstanceSet.MemSize.
 func (s *Slice) MemSize() int64 {
-	var n int64 = 72 // struct + map header + interval fields
-	for _, set := range s.slots {
-		n += 16 + set.MemSize()
+	var n int64 = 72 // fixed per-slice charge
+	for _, e := range s.slots {
+		n += 16 + e.set.MemSize()
 	}
 	return n
 }

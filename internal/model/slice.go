@@ -60,17 +60,14 @@ func (is *InstanceSet) GetOrCreate(typ TypeID) *FeatureStats {
 //ips:hotpath
 func (is *InstanceSet) Len() int { return len(is.types) }
 
-// AppendTypes appends the set's types to dst in ascending order and
-// returns the extended slice. Readers that merge a slice's types walk
-// them in this order, so a reducer whose answer depends on merge order
-// (LAST) answers the same on every read.
+// At returns the set's i-th type and its stats, 0 <= i < Len(), in
+// ascending TypeID order. Readers that merge a slice's types walk them in
+// this order, so a reducer whose answer depends on merge order (LAST)
+// answers the same on every read.
 //
 //ips:hotpath
-func (is *InstanceSet) AppendTypes(dst []TypeID) []TypeID {
-	for _, e := range is.types {
-		dst = append(dst, e.typ)
-	}
-	return dst
+func (is *InstanceSet) At(i int) (TypeID, *FeatureStats) {
+	return is.types[i].typ, is.types[i].fs
 }
 
 // Each calls fn for every (type, stats) pair, in ascending TypeID order.

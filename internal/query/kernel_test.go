@@ -69,9 +69,7 @@ func reference(p *model.Profile, sch *model.Schema, req Request, now model.Milli
 			continue
 		}
 		if req.AllTypes {
-			for _, typ := range set.AppendTypes(nil) {
-				add(set.Get(typ), w, s.End)
-			}
+			set.Each(func(_ model.TypeID, fs *model.FeatureStats) { add(fs, w, s.End) })
 		} else if fs := set.Get(req.Type); fs != nil {
 			add(fs, w, s.End)
 		}

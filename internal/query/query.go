@@ -216,8 +216,7 @@ const maxPresize = 1 << 14
 // results must copy them out first. A Scratch is not safe for concurrent
 // use.
 type Scratch struct {
-	parts []part         // the stats to merge: step 1's output
-	types []model.TypeID // one slice's types, ascending
+	parts []part // the stats to merge: step 1's output
 
 	// table maps a fid to its row: each slot holds row+1, 0 when empty.
 	// Its length is a power of two, at least twice the row count; a fid
@@ -373,9 +372,9 @@ func (sc *Scratch) locate(slices []*model.Slice, req Request, from, to model.Mil
 			}
 			continue
 		}
-		sc.types = set.AppendTypes(sc.types[:0])
-		for _, t := range sc.types {
-			sc.parts = append(sc.parts, part{set.Get(t), w, s.End})
+		for i := 0; i < set.Len(); i++ {
+			_, fs := set.At(i)
+			sc.parts = append(sc.parts, part{fs, w, s.End})
 		}
 	}
 	for _, pt := range sc.parts {

@@ -89,7 +89,6 @@ func (s *Sealed) MemSize() int64 { return s.bytes }
 
 // sealer holds the working storage Seal reuses from slot to slot.
 type sealer struct {
-	types    []model.TypeID
 	keys     []uint64
 	idx, tmp []int32
 	part     []int32
@@ -103,10 +102,10 @@ func (b *sealer) seal(src []*model.Slice, id model.SlotID, width int) *sealedSlo
 	m := 0
 	for i, s := range src {
 		if set := s.Slot(id); set != nil {
-			b.types = set.AppendTypes(b.types[:0])
-			for _, t := range b.types {
+			for k := 0; k < set.Len(); k++ {
+				t, fs := set.At(k)
 				sl.parts = append(sl.parts, sealedPart{int32(i), t})
-				m += set.Get(t).Len()
+				m += fs.Len()
 			}
 		}
 	}

@@ -301,6 +301,17 @@ func (r *Reader) Next() (field uint32, wt WireType, err error) {
 
 //ips:hotpath
 func (r *Reader) uvarint() (uint64, error) {
+	// One byte: every tag, and most lengths and counts. Longer varints
+	// take uvarintLong.
+	if b := r.b[r.pos:]; len(b) > 0 && b[0] < 0x80 {
+		r.pos++
+		return uint64(b[0]), nil
+	}
+	return r.uvarintLong()
+}
+
+//ips:hotpath
+func (r *Reader) uvarintLong() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n == 0 {
 		return 0, ErrTruncated
@@ -383,18 +394,9 @@ func (r *Reader) String() (string, error) {
 	return string(b), err
 }
 
-// Message reads a nested message payload and returns a sub-Reader over it.
-func (r *Reader) Message() (*Reader, error) {
-	b, err := r.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	return NewReader(b), nil
-}
-
-// Sub reads a nested message payload into a caller-owned Reader value —
-// the allocation-free form of Message for hot decoders that keep the
-// sub-Reader on the stack.
+// Sub reads a nested message payload into a caller-owned Reader value,
+// which decoders keep on the stack so that a nested message costs no
+// allocation.
 //
 //ips:hotpath
 func (r *Reader) Sub(sub *Reader) error {
@@ -406,14 +408,30 @@ func (r *Reader) Sub(sub *Reader) error {
 	return nil
 }
 
-// Packed64 reads a packed repeated uint64 payload.
+// PackedLen returns the number of values in a well-formed packed
+// payload: the number of bytes that end a varint, the ones below 0x80.
+//
+//ips:hotpath
+func PackedLen(b []byte) int {
+	n := 0
+	for _, c := range b {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
+}
+
+// Packed64 reads a packed repeated uint64 payload into one slice sized
+// by PackedLen, nil when the payload is empty.
 func (r *Reader) Packed64() ([]uint64, error) {
 	b, err := r.Bytes()
-	if err != nil {
+	if err != nil || len(b) == 0 {
 		return nil, err
 	}
-	sub := NewReader(b)
-	var out []uint64
+	var sub Reader
+	sub.Reset(b)
+	out := make([]uint64, 0, PackedLen(b))
 	for !sub.Done() {
 		v, err := sub.uvarint()
 		if err != nil {
@@ -424,15 +442,22 @@ func (r *Reader) Packed64() ([]uint64, error) {
 	return out, nil
 }
 
-// PackedI64 reads a packed repeated zigzag int64 payload.
+// PackedI64 reads a packed repeated zigzag int64 payload into one slice
+// sized by PackedLen.
 func (r *Reader) PackedI64() ([]int64, error) {
-	us, err := r.Packed64()
+	b, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(us))
-	for i, u := range us {
-		out[i] = unzigzag(u)
+	var sub Reader
+	sub.Reset(b)
+	out := make([]int64, 0, PackedLen(b))
+	for !sub.Done() {
+		u, err := sub.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, unzigzag(u))
 	}
 	return out, nil
 }

@@ -96,8 +96,8 @@ func TestNestedMessage(t *testing.T) {
 	if _, _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := r.Message()
-	if err != nil {
+	var sub Reader
+	if err := r.Sub(&sub); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sub.Next(); err != nil {
@@ -109,8 +109,8 @@ func TestNestedMessage(t *testing.T) {
 	if _, _, err := sub.Next(); err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := sub.Message()
-	if err != nil {
+	var sub2 Reader
+	if err := sub.Sub(&sub2); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sub2.Next(); err != nil {
@@ -315,8 +315,8 @@ func TestMessageScratchReuse(t *testing.T) {
 		if _, _, err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
-		sub, err := r.Message()
-		if err != nil {
+		var sub Reader
+		if err := r.Sub(&sub); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := sub.Next(); err != nil {

@@ -194,11 +194,11 @@ func (r *RemoteRegistry) Lookup(service string) []Instance {
 			}
 			continue
 		}
-		sub, err := rd.Message()
-		if err != nil {
+		var sub codec.Reader
+		if rd.Sub(&sub) != nil {
 			return out
 		}
-		in, err := decodeInstance(sub)
+		in, err := decodeInstance(&sub)
 		if err != nil {
 			return out
 		}

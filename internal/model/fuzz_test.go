@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -24,16 +25,21 @@ func FuzzUnmarshalProfile(f *testing.F) {
 			return
 		}
 		// Whatever decoded must re-marshal and re-decode to the same
-		// feature totals.
+		// feature totals, and the encoding is a fixed point: decode →
+		// marshal → decode → marshal gives identical bytes.
 		got.RLock()
-		again, err2 := UnmarshalProfile(MarshalProfile(got))
+		first := MarshalProfile(got)
 		nf := got.NumFeatures()
 		got.RUnlock()
-		if err2 != nil {
-			t.Fatalf("re-decode failed: %v", err2)
+		again, err := UnmarshalProfile(first)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
 		}
 		if again.NumFeatures() != nf {
 			t.Fatalf("feature count drifted: %d -> %d", nf, again.NumFeatures())
+		}
+		if second := MarshalProfile(again); !bytes.Equal(first, second) {
+			t.Fatalf("re-marshal differs:\n%x\n%x", first, second)
 		}
 	})
 }
@@ -50,8 +56,13 @@ func FuzzUnmarshalSlice(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := UnmarshalSlice(MarshalSlice(got)); err != nil {
+		first := MarshalSlice(got)
+		again, err := UnmarshalSlice(first)
+		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
+		}
+		if second := MarshalSlice(again); !bytes.Equal(first, second) {
+			t.Fatalf("re-marshal differs:\n%x\n%x", first, second)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"ips/internal/codec"
 )
@@ -91,10 +92,16 @@ func encodeSlice(e *codec.Buffer, s *Slice) {
 	}
 }
 
-// UnmarshalProfile reconstructs a profile from its wire encoding.
+// UnmarshalProfile reconstructs a profile from its wire encoding. The
+// profile's parts are carved from one arena sized by a counting pass over
+// data (see arena).
 func UnmarshalProfile(data []byte) (*Profile, error) {
-	r := codec.NewReader(data)
+	var a arena
+	a.size(data, 0)
+	var r codec.Reader
+	r.Reset(data)
 	p := NewProfile(0)
+	p.slices = make([]*Slice, 0, len(a.slices))
 	for !r.Done() {
 		field, wt, err := r.Next()
 		if err != nil {
@@ -132,11 +139,11 @@ func UnmarshalProfile(data []byte) (*Profile, error) {
 			}
 			p.MigLSN = l
 		case fProfileSlice:
-			sub, err := r.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := r.Sub(&sub); err != nil {
 				return nil, err
 			}
-			s, err := decodeSlice(sub)
+			s, err := a.decodeSlice(&sub)
 			if err != nil {
 				return nil, err
 			}
@@ -151,13 +158,122 @@ func UnmarshalProfile(data []byte) (*Profile, error) {
 	return p, nil
 }
 
-// UnmarshalSlice reconstructs one slice from its wire encoding.
+// UnmarshalSlice reconstructs one slice from its wire encoding, carving
+// its parts from one arena as UnmarshalProfile does.
 func UnmarshalSlice(data []byte) (*Slice, error) {
-	return decodeSlice(codec.NewReader(data))
+	var a arena
+	a.size(data, 1)
+	var r codec.Reader
+	r.Reset(data)
+	return a.decodeSlice(&r)
 }
 
-func decodeSlice(r *codec.Reader) (*Slice, error) {
-	s := NewSlice(0, 0)
+// arena is the storage one decode carves a profile's parts from: one
+// array per level, sized by a counting pass over the input. A part that
+// holds a list opens a window at the start of what is left of its level
+// and, once finished, is capped to exactly its length (claim), so a later
+// append to it reallocates instead of overwriting the next part. Only one
+// window per level is open at a time, because a part is finished before
+// its next sibling starts. The counts are not trusted: a window that
+// outgrows the rest of its level is moved to the heap by append, and a
+// part taken from a used-up level is allocated on its own.
+type arena struct {
+	slices []Slice
+	slots  []slotSet
+	sets   []InstanceSet
+	types  []typeStats
+	fss    []FeatureStats
+	stats  []FeatureStat
+	counts []int64
+}
+
+// carry names, per level from the profile down, the field that holds the
+// next level: slices, slot entries, type entries, stats and count words.
+var carry = [...]uint32{fProfileSlice, fSliceSlot, fSlotType, fTypeStats, fStatCounts}
+
+// size counts the parts of data, an encoding at level depth of carry (0
+// for a profile, 1 for a slice), and allocates one array per level.
+func (a *arena) size(data []byte, depth int) {
+	var n [len(carry)]int
+	if depth == 1 {
+		n[0] = 1 // the slice itself
+	}
+	count(data, depth, &n)
+	a.slices = make([]Slice, n[0])
+	a.slots = make([]slotSet, n[1])
+	a.sets = make([]InstanceSet, n[1])
+	a.types = make([]typeStats, n[2])
+	a.fss = make([]FeatureStats, n[2])
+	a.stats = make([]FeatureStat, n[3])
+	a.counts = make([]int64, n[4])
+}
+
+// count adds to n the parts below level depth that data holds, walking
+// it as the decoder will with one stack reader per level; codec.PackedLen
+// counts the words of a stat's counts. The walk stops at a malformed
+// field: the decoder reports it, and a short count only sends the rest of
+// the decode to the heap.
+//
+//ips:hotpath
+func count(data []byte, depth int, n *[len(carry)]int) {
+	var rs [len(carry)]codec.Reader
+	rs[depth].Reset(data)
+	for d := depth; d >= depth; {
+		r := &rs[d]
+		if r.Done() {
+			d--
+			continue
+		}
+		field, wt, err := r.Next()
+		if err != nil {
+			return
+		}
+		switch {
+		case field != carry[d]:
+			if r.Skip(wt) != nil {
+				return
+			}
+		case d == len(carry)-1:
+			b, err := r.Bytes()
+			if err != nil {
+				return
+			}
+			n[d] += codec.PackedLen(b)
+		default:
+			if r.Sub(&rs[d+1]) != nil {
+				return
+			}
+			n[d]++
+			d++
+		}
+	}
+}
+
+// claim caps w, a window opened at rest[:0], once its part is finished,
+// and returns it with what is left of the level. A window that outgrew
+// rest was moved to the heap and takes none of it.
+//
+//ips:hotpath
+func claim[T any](rest, w []T) ([]T, []T) {
+	if n := len(w); n <= len(rest) {
+		return w[:n:n], rest[n:]
+	}
+	return w, rest
+}
+
+// take returns the next part of a level, or a new one when it is used up.
+func take[T any](rest *[]T) *T {
+	if len(*rest) == 0 {
+		return new(T)
+	}
+	p := &(*rest)[0]
+	*rest = (*rest)[1:]
+	return p
+}
+
+func (a *arena) decodeSlice(r *codec.Reader) (*Slice, error) {
+	s := take(&a.slices)
+	s.slots = a.slots[:0]
 	for !r.Done() {
 		field, wt, err := r.Next()
 		if err != nil {
@@ -177,11 +293,11 @@ func decodeSlice(r *codec.Reader) (*Slice, error) {
 				return nil, err
 			}
 		case fSliceSlot:
-			sub, err := r.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := r.Sub(&sub); err != nil {
 				return nil, err
 			}
-			if err := decodeSlot(sub, s); err != nil {
+			if err := a.decodeSlot(&sub, s); err != nil {
 				return nil, err
 			}
 		default:
@@ -190,18 +306,13 @@ func decodeSlice(r *codec.Reader) (*Slice, error) {
 			}
 		}
 	}
+	s.slots, a.slots = claim(a.slots, s.slots)
 	return s, nil
 }
 
-func decodeSlot(r *codec.Reader, s *Slice) error {
+func (a *arena) decodeSlot(r *codec.Reader, s *Slice) error {
 	var slot SlotID
 	var set *InstanceSet
-	ensure := func() *InstanceSet {
-		if set == nil {
-			set = NewInstanceSet()
-		}
-		return set
-	}
 	for !r.Done() {
 		field, wt, err := r.Next()
 		if err != nil {
@@ -213,11 +324,15 @@ func decodeSlot(r *codec.Reader, s *Slice) error {
 				return err
 			}
 		case fSlotType:
-			sub, err := r.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := r.Sub(&sub); err != nil {
 				return err
 			}
-			if err := decodeType(sub, ensure()); err != nil {
+			if set == nil {
+				set = take(&a.sets)
+				set.types = a.types[:0]
+			}
+			if err := a.decodeType(&sub, set); err != nil {
 				return err
 			}
 		default:
@@ -227,14 +342,18 @@ func decodeSlot(r *codec.Reader, s *Slice) error {
 		}
 	}
 	if set != nil {
+		set.types, a.types = claim(a.types, set.types)
 		s.putSlot(slot, set)
 	}
 	return nil
 }
 
-func decodeType(r *codec.Reader, set *InstanceSet) error {
+// decodeType decodes one type entry into set. A type the set already
+// holds (a repeated entry) gets the new stats appended, which moves its
+// capped stats to the heap.
+func (a *arena) decodeType(r *codec.Reader, set *InstanceSet) error {
 	var typ TypeID
-	var stats []FeatureStat
+	stats := a.stats[:0]
 	for !r.Done() {
 		field, wt, err := r.Next()
 		if err != nil {
@@ -246,11 +365,11 @@ func decodeType(r *codec.Reader, set *InstanceSet) error {
 				return err
 			}
 		case fTypeStats:
-			sub, err := r.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := r.Sub(&sub); err != nil {
 				return err
 			}
-			st, err := decodeStat(sub)
+			st, err := a.decodeStat(&sub)
 			if err != nil {
 				return err
 			}
@@ -261,13 +380,20 @@ func decodeType(r *codec.Reader, set *InstanceSet) error {
 			}
 		}
 	}
-	fs := set.GetOrCreate(typ)
-	fs.stats = append(fs.stats, stats...)
-	fs.reindex()
+	stats, a.stats = claim(a.stats, stats)
+	i, ok := set.find(typ)
+	if !ok {
+		fs := take(&a.fss)
+		fs.stats = stats
+		set.types = slices.Insert(set.types, i, typeStats{typ, fs})
+	} else {
+		set.types[i].fs.stats = append(set.types[i].fs.stats, stats...)
+	}
+	set.types[i].fs.reindex()
 	return nil
 }
 
-func decodeStat(r *codec.Reader) (FeatureStat, error) {
+func (a *arena) decodeStat(r *codec.Reader) (FeatureStat, error) {
 	var st FeatureStat
 	for !r.Done() {
 		field, wt, err := r.Next()
@@ -280,9 +406,11 @@ func decodeStat(r *codec.Reader) (FeatureStat, error) {
 				return st, err
 			}
 		case fStatCounts:
-			if st.Counts, err = r.PackedI64(); err != nil {
+			c, err := r.PackedI64Into(a.counts[:0])
+			if err != nil {
 				return st, err
 			}
+			st.Counts, a.counts = claim(a.counts, c)
 		default:
 			if err := r.Skip(wt); err != nil {
 				return st, err

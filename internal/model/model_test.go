@@ -764,3 +764,44 @@ func BenchmarkMarshalProfile(b *testing.B) {
 		MarshalProfile(p)
 	}
 }
+
+// TestDecodedListsAreCapped: every list a decoded part holds is capped at
+// its length, so an append to it reallocates rather than writing into the
+// next part carved from the same arena. This pins the count vectors too,
+// which no mutator appends to today.
+func TestDecodedListsAreCapped(t *testing.T) {
+	sch := testSchema()
+	p := NewProfile(1)
+	p.Lock()
+	rng := rand.New(rand.NewSource(62))
+	for i := 0; i < 300; i++ {
+		_ = p.Add(sch, Millis(1000+rng.Intn(20_000)), 1000, SlotID(rng.Intn(3)), TypeID(rng.Intn(3)),
+			FeatureID(rng.Intn(40)), []int64{1, 2, 3})
+	}
+	data := MarshalProfile(p)
+	p.Unlock()
+	got, err := UnmarshalProfile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range got.slices {
+		if cap(s.slots) != len(s.slots) {
+			t.Fatalf("slice slots: cap %d, len %d", cap(s.slots), len(s.slots))
+		}
+		for _, se := range s.slots {
+			if cap(se.set.types) != len(se.set.types) {
+				t.Fatalf("slot %d types: cap %d, len %d", se.slot, cap(se.set.types), len(se.set.types))
+			}
+			for _, te := range se.set.types {
+				if cap(te.fs.stats) != len(te.fs.stats) {
+					t.Fatalf("type %d stats: cap %d, len %d", te.typ, cap(te.fs.stats), len(te.fs.stats))
+				}
+				for _, st := range te.fs.stats {
+					if cap(st.Counts) != len(st.Counts) {
+						t.Fatalf("fid %d counts: cap %d, len %d", st.FID, cap(st.Counts), len(st.Counts))
+					}
+				}
+			}
+		}
+	}
+}

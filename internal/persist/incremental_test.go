@@ -115,3 +115,38 @@ func TestIncrementalFingerprintsDropWithSlices(t *testing.T) {
 		t.Fatalf("fingerprints = %d, want 3", n)
 	}
 }
+
+// TestDeleteThenResaveLoadsWhole: Delete must forget the profile's slice
+// fingerprints, or a Save of the same content after it skips every slice
+// as unchanged and Load finds none of them.
+func TestDeleteThenResaveLoadsWhole(t *testing.T) {
+	ps := New(kv.NewMemory(), "tbl")
+	ps.Mode = FineGrained
+	sch := model.NewSchema("n")
+	p := model.NewProfile(1)
+	p.Lock()
+	for i := 0; i < 20; i++ {
+		_ = p.Add(sch, model.Millis(1000+i*1000), 1000, 1, 1, 7, []int64{1})
+	}
+	p.Unlock()
+
+	p.RLock()
+	defer p.RUnlock()
+	if _, err := ps.Save(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.Save(p); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ps.Load(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumSlices() != p.NumSlices() || got.NumFeatures() != p.NumFeatures() {
+		t.Fatalf("loaded %d slices / %d features after delete and re-save, want %d / %d",
+			got.NumSlices(), got.NumFeatures(), p.NumSlices(), p.NumFeatures())
+	}
+}

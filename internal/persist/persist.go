@@ -168,8 +168,13 @@ func (ps *Persister) Load(id model.ProfileID) (*model.Profile, error) {
 	return ps.loadFine(id)
 }
 
-// Delete removes all stored values for id (bulk value, meta, slices).
+// Delete removes all stored values for id (bulk value, meta, slices) and
+// forgets the fingerprints of its saved slices, so that the next Save of
+// the same content writes every slice again.
 func (ps *Persister) Delete(id model.ProfileID) error {
+	ps.mu.Lock()
+	delete(ps.saved, id)
+	ps.mu.Unlock()
 	if err := ps.store.Delete(ps.profileKey(id)); err != nil {
 		return err
 	}
@@ -255,8 +260,8 @@ func decodeMeta(data []byte) (meta, error) {
 				return m, err
 			}
 		case fMetaSlice:
-			sub, err := r.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := r.Sub(&sub); err != nil {
 				return m, err
 			}
 			var sm sliceMeta

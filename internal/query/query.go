@@ -720,7 +720,8 @@ func weighted(c int64, w float64) int64 {
 }
 
 // decayWeight computes the decay multiplier for the slice [start, end)
-// inside the window: a weight in [0, 1], or NaN for a NaN DecayFactor.
+// inside the window: a weight in [0, 1]. A factor out of its function's
+// range, NaN and the infinities included, takes the function's default.
 //
 //ips:hotpath
 func decayWeight(req Request, start, end, from, to model.Millis) float64 {
@@ -747,13 +748,13 @@ func decayWeight(req Request, start, end, from, to model.Millis) float64 {
 			width = 1
 		}
 		f := req.DecayFactor
-		if f <= 0 || f > 1 {
+		if !(f > 0 && f <= 1) {
 			f = 0.5
 		}
 		return math.Pow(f, age/width)
 	case DecayLinear:
 		f := req.DecayFactor
-		if f <= 0 {
+		if !(f > 0 && f <= math.MaxFloat64) {
 			f = 1
 		}
 		w := 1 - f*frac
@@ -763,7 +764,7 @@ func decayWeight(req Request, start, end, from, to model.Millis) float64 {
 		return w
 	case DecayStep:
 		f := req.DecayFactor
-		if f <= 0 || f > 1 {
+		if !(f > 0 && f <= 1) {
 			f = 0.5
 		}
 		if frac > f {

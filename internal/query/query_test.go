@@ -1,7 +1,9 @@
 package query
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -543,6 +545,46 @@ func BenchmarkQueryTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunScratch(p, sch, req, 3_600_000, &sc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecayNonFiniteFactorTakesDefault: the wire carries DecayFactor as a
+// raw float64, so a NaN or infinite factor must read as its function's
+// default, on the live and the sealed path alike, not zero every count.
+func TestDecayNonFiniteFactorTakesDefault(t *testing.T) {
+	sch := model.NewSchema("n")
+	p := model.NewProfile(1)
+	p.Lock()
+	for i, ts := range []model.Millis{1500, 3500, 5500, 7500, 9500} {
+		_ = p.Add(sch, ts, 1000, 1, 1, model.FeatureID(i+1), []int64{100})
+	}
+	p.Unlock()
+	sealed := Seal(p, sch)
+	for _, decay := range []DecayFunc{DecayExp, DecayLinear, DecayStep} {
+		base := Request{Slot: 1, Type: 1, Range: CurrentRange(10_000), SortBy: ByFeatureID, Decay: decay}
+		want, err := Run(p, sch, base, 10_000, new(Scratch)) // factor 0: the default
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Features) == 0 || want.Features[len(want.Features)-1].Counts[0] == 0 {
+			t.Fatalf("decay %d: default factor read %+v", decay, want.Features)
+		}
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			req := base
+			req.DecayFactor = f
+			for name, run := range map[string]func() (Result, error){
+				"Run":       func() (Result, error) { return Run(p, sch, req, 10_000, new(Scratch)) },
+				"RunSealed": func() (Result, error) { return RunSealed(sealed, req, 10_000, new(Scratch)) },
+			} {
+				got, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Features, want.Features) {
+					t.Errorf("decay %d factor %v %s = %+v, want the default's %+v", decay, f, name, got.Features, want.Features)
+				}
+			}
 		}
 	}
 }

@@ -380,11 +380,11 @@ func decodePayload(rec *Record, payload []byte) error {
 				return err
 			}
 		case fRecEntry:
-			sub, err := r.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := r.Sub(&sub); err != nil {
 				return err
 			}
-			en, err := decodeEntry(sub)
+			en, err := decodeEntry(&sub)
 			if err != nil {
 				return err
 			}
@@ -412,8 +412,8 @@ func decodePayload(rec *Record, payload []byte) error {
 				return err
 			}
 		case fRecTopic:
-			sub, err := r.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := r.Sub(&sub); err != nil {
 				return err
 			}
 			var name string

@@ -103,11 +103,11 @@ func DecodeQueryBatch(data []byte) (*BatchQueryRequest, error) {
 				return nil, decodeErr("batch caller", err)
 			}
 		case fBQSub:
-			sub, err := rd.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := rd.Sub(&sub); err != nil {
 				return nil, decodeErr("batch sub", err)
 			}
-			sq, err := decodeSubQuery(sub)
+			sq, err := decodeSubQuery(&sub)
 			if err != nil {
 				return nil, err
 			}

@@ -100,8 +100,8 @@ func DecodeQueryBatchResponseV2(data []byte) (*BatchQueryResponse, error) {
 			}
 			blobs = append(blobs, b)
 		case fB2Result:
-			sub, err := rd.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := rd.Sub(&sub); err != nil {
 				return nil, decodeErr("batch2 result", err)
 			}
 			var rr rawResult

@@ -222,10 +222,10 @@ func DecodeMigrateFrames(data []byte) (*MigrateFrames, error) {
 		case fMigWatermark:
 			r.Watermark, err = rd.Uint64()
 		case fMigFrame:
-			var sub *codec.Reader
-			if sub, err = rd.Message(); err == nil {
+			var sub codec.Reader
+			if err = rd.Sub(&sub); err == nil {
 				var fr MigrateFrame
-				if fr, err = decodeFrame(sub); err == nil {
+				if fr, err = decodeFrame(&sub); err == nil {
 					r.Frames = append(r.Frames, fr)
 				}
 			}
@@ -268,10 +268,10 @@ func DecodeMigrateInstall(data []byte) (*MigrateInstallRequest, error) {
 		case fInstMark:
 			r.Mark, err = rd.Bool()
 		case fInstFrame:
-			var sub *codec.Reader
-			if sub, err = rd.Message(); err == nil {
+			var sub codec.Reader
+			if err = rd.Sub(&sub); err == nil {
 				var fr MigrateFrame
-				if fr, err = decodeFrame(sub); err == nil {
+				if fr, err = decodeFrame(&sub); err == nil {
 					r.Frames = append(r.Frames, fr)
 				}
 			}

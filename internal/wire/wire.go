@@ -316,11 +316,11 @@ func DecodeAdd(data []byte) (*AddRequest, error) {
 				return nil, decodeErr("profile", err)
 			}
 		case fAddEntry:
-			sub, err := rd.Message()
-			if err != nil {
+			var sub codec.Reader
+			if err := rd.Sub(&sub); err != nil {
 				return nil, decodeErr("entry", err)
 			}
-			en, err := decodeEntry(sub)
+			en, err := decodeEntry(&sub)
 			if err != nil {
 				return nil, err
 			}
